@@ -116,7 +116,12 @@ def parse_algebra(text: str) -> LieAlgebra:
                     t = _TERM_RE.fullmatch(part.strip())
                     if t is None:
                         raise ParseError(f"malformed term {part.strip()!r}", lineno)
-                    coeff = Fraction(t.group(1))
+                    try:
+                        coeff = Fraction(t.group(1))
+                    except ZeroDivisionError:
+                        raise ParseError(
+                            f"zero denominator in {part.strip()!r}", lineno
+                        ) from None
                     k = int(t.group(2))
                     if not (1 <= k <= dim):
                         raise ParseError(f"basis index e{k} out of range", lineno)

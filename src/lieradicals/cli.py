@@ -159,6 +159,9 @@ def cmd_analyze(path: str, as_json: bool) -> int:
 
 
 def cmd_verify(path: str, samples: int, seed: int, as_json: bool) -> int:
+    if samples < 1:
+        print(f"error: --samples must be at least 1, got {samples}", file=sys.stderr)
+        return EXIT_PARSE
     loaded = _load(path)
     if isinstance(loaded, int):
         return loaded

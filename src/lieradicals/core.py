@@ -6,6 +6,15 @@ vectors and of subspaces, ideal tests and ideal closure, the adjoint
 representation, the Killing form and its orthogonal complements, restriction
 to a subalgebra, and quotients by ideals.
 
+Structure computations read one cached sparse adjoint table,
+``_adjoint[i][j] = {k: c^k_ij}``, built once from the nonzero brackets.
+Brackets of vectors, ``ad``, the axiom check and the Killing Gram matrix
+K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory and
+Algorithms*, ch. 1) walk only its nonzero entries, and the upper extension
+in `series` visits only the stored nonzero brackets, so their work grows with
+the number of nonzero structure constants rather than with powers of the
+dimension: an abelian algebra costs next to nothing at any size.
+
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
 characterizations) is valid over any field of characteristic zero, and exact
@@ -21,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, is_zero_vector, vadd, vector, zero_vector
+from .linalg import Matrix, is_zero_vector, vector, zero_vector
 from .subspace import Subspace
 
 
@@ -52,9 +61,9 @@ class StructureConstants:
 
     Only nonzero brackets are stored; both orientations of a pair are kept so
     lookups never need sign fixing.  Use :meth:`from_brackets` for normal
-    construction (one orientation given, the other derived) and
-    :meth:`from_table` to wrap a raw, possibly non-antisymmetric table that
-    validation should inspect.
+    construction (one orientation given, the other derived); the constructor
+    wraps a raw, possibly non-antisymmetric table that validation should
+    inspect.
     """
 
     __slots__ = ("dim", "_table")
@@ -108,13 +117,6 @@ class StructureConstants:
                 table[(j, i)] = neg
         return cls(dim, table)
 
-    @classmethod
-    def from_table(
-        cls, dim: int, table: Mapping[tuple[int, int], Sequence]
-    ) -> "StructureConstants":
-        """Wrap a raw table verbatim (no antisymmetry completion)."""
-        return cls(dim, table)
-
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coordinate vector."""
         v = self._table.get((i, j))
@@ -136,6 +138,11 @@ class StructureConstants:
 
     def __repr__(self) -> str:
         return f"StructureConstants(dim={self.dim}, nonzero={len(self._table)})"
+
+
+def _support(x: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The nonzero coordinates of x as (index, value) pairs."""
+    return [(i, xi) for i, xi in enumerate(x) if xi]
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -184,37 +191,45 @@ class LieAlgebra:
     def validate(self) -> ValidationReport:
         """Check antisymmetry on all pairs, then Jacobi on all basis triples.
 
-        Returns the first violation found; violations are report data, not
-        exceptions.  Checking Jacobi on basis triples suffices by
-        trilinearity.
+        Returns the first violation found, in index order; violations are
+        report data, not exceptions.  Checking Jacobi on basis triples
+        suffices by trilinearity, and a triple whose three basis brackets are
+        all zero satisfies it trivially, so only triples touching a nonzero
+        bracket are evaluated.
         """
         n = self.dim
-        c = self.constants
-        for i in range(n):
-            for j in range(i, n):
-                vij = c.bracket_basis(i, j)
-                vji = c.bracket_basis(j, i)
-                if any(a != -b for a, b in zip(vij, vji)):
-                    return ValidationReport(
-                        ok=False,
-                        kind="antisymmetry",
-                        indices=(i + 1, j + 1),
-                        message=(
-                            f"antisymmetry fails on (e{i + 1}, e{j + 1}): "
-                            f"[e{i + 1},e{j + 1}] != -[e{j + 1},e{i + 1}]"
-                        ),
-                    )
+        adj = self._adjoint
+        bad_pairs = [
+            (min(i, j), max(i, j))
+            for i, row in enumerate(adj)
+            for j, col in row.items()
+            if adj[j].get(i, {}) != {k: -v for k, v in col.items()}
+        ]
+        if bad_pairs:
+            i, j = min(bad_pairs)
+            return ValidationReport(
+                ok=False,
+                kind="antisymmetry",
+                indices=(i + 1, j + 1),
+                message=(
+                    f"antisymmetry fails on (e{i + 1}, e{j + 1}): "
+                    f"[e{i + 1},e{j + 1}] != -[e{j + 1},e{i + 1}]"
+                ),
+            )
         for i in range(n):
             for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = vadd(
-                        vadd(
-                            self.bracket(c.bracket_basis(i, j), self.basis_vector(k)),
-                            self.bracket(c.bracket_basis(j, k), self.basis_vector(i)),
-                        ),
-                        self.bracket(c.bracket_basis(k, i), self.basis_vector(j)),
-                    )
-                    if not is_zero_vector(s):
+                if j in adj[i]:
+                    ks = range(j + 1, n)
+                else:  # only k with [e_j, e_k] or [e_k, e_i] nonzero matter
+                    ks = sorted(k for k in adj[i].keys() | adj[j].keys() if k > j)
+                for k in ks:
+                    s: dict[int, Fraction] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        # [[e_a, e_b], e_c] = sum_m c^m_ab [e_m, e_c]
+                        for m, cm in adj[a].get(b, {}).items():
+                            for l, cl in adj[m].get(c, {}).items():
+                                s[l] = s.get(l, 0) + cm * cl
+                    if any(s.values()):
                         return ValidationReport(
                             ok=False,
                             kind="jacobi",
@@ -240,25 +255,39 @@ class LieAlgebra:
         return Subspace.zero(self.dim)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """[x, y] by bilinear expansion over the stored nonzero brackets."""
+        """[x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i and stored brackets."""
         x = vector(x)
         y = vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
+        return tuple(self._bracket(_support(x), y))
+
+    def _bracket(
+        self, xs: list[tuple[int, Fraction]], y: Sequence[Fraction]
+    ) -> list[Fraction]:
+        """[x, y] from the nonzero (i, x_i) of x."""
         out = [Fraction(0)] * self.dim
-        for (i, j), v in self.constants.items():
-            c = x[i] * y[j]
-            if c:
-                for k, vk in enumerate(v):
-                    if vk:
-                        out[k] += c * vk
-        return tuple(out)
+        for i, xi in xs:
+            for j, col in self._adjoint[i].items():
+                c = xi * y[j]
+                if c:
+                    for k, v in col.items():
+                        out[k] += c * v
+        return out
 
     def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of the pairwise brackets of the two bases: the ideal product."""
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
-        vecs = [self.bracket(u, v) for u in a.rows() for v in b.rows()]
+        rows = b.rows()
+        vecs = []
+        for u in a.rows():
+            xs = _support(u)
+            for v in rows:
+                w = self._bracket(xs, v)
+                # Zero brackets do not change the span, so they skip elimination.
+                if any(w):
+                    vecs.append(w)
         return Subspace.span(vecs, self.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
@@ -282,21 +311,36 @@ class LieAlgebra:
         x = vector(x)
         if len(x) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(
-            self.dim,
-            self.dim,
-            [cols[j][k] for k in range(self.dim) for j in range(self.dim)],
-        )
+        n = self.dim
+        ents = [Fraction(0)] * (n * n)
+        for i, xi in _support(x):
+            for j, col in self._adjoint[i].items():
+                for k, c in col.items():
+                    ents[k * n + j] += xi * c
+        return Matrix(n, n, ents)
+
+    @cached_property
+    def _adjoint(self) -> tuple[dict[int, dict[int, Fraction]], ...]:
+        """_adjoint[i][j] = {k: c^k_ij}, holding only the nonzero constants."""
+        table: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
+        for (i, j), v in self.constants.items():
+            table[i][j] = {k: c for k, c in enumerate(v) if c}
+        return tuple(table)
 
     @cached_property
     def _killing(self) -> Matrix:
+        """K_ij = sum_{k,l} c^l_ik c^k_jl, summed over the nonzero c^l_ik."""
         n = self.dim
-        ads = [self.ad(self.basis_vector(i)) for i in range(n)]
+        adj = self._adjoint
         ents = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                t = (ads[i] @ ads[j]).trace()
+                t = Fraction(0)
+                for k, col in adj[i].items():
+                    for l, c in col.items():
+                        d = adj[j].get(l, {}).get(k)
+                        if d:
+                            t += c * d
                 ents[i][j] = t
                 ents[j][i] = t
         return Matrix.from_rows(ents, n)
@@ -316,8 +360,9 @@ class LieAlgebra:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""
         if s.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
-        constraints = s.basis @ self._killing
-        return Subspace(self.dim, constraints.kernel())
+        # K is symmetric, so row y of (basis @ K) is K applied to y.
+        constraints = [self._killing.apply(y) for y in s.rows()]
+        return Subspace(self.dim, Matrix.from_rows(constraints, self.dim).kernel())
 
     # -- subalgebras and quotients -----------------------------------------------
 
@@ -371,9 +416,7 @@ class LieAlgebra:
         table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         for a in range(d):
             for b in range(a + 1, d):
-                w = self.bracket(
-                    self.basis_vector(non_pivots[a]), self.basis_vector(non_pivots[b])
-                )
+                w = self.constants.bracket_basis(non_pivots[a], non_pivots[b])
                 table[(a, b)] = proj.apply(w)
         labels = tuple(self.labels[c] for c in non_pivots)
         return LieAlgebra(StructureConstants.from_brackets(d, table), labels), proj

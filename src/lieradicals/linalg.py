@@ -35,10 +35,6 @@ def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * a for a in v)
 
@@ -113,9 +109,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.rows)]

@@ -179,6 +179,23 @@ def _redundant_spanning(s: Subspace) -> list[tuple[Fraction, ...]]:
     return vecs
 
 
+def _preimage(L: LieAlgebra, ideal: Subspace, h: Subspace) -> Subspace:
+    """Preimage in L of h, a subspace of the quotient L / ideal.
+
+    Quotient coordinates index the non-pivot columns of the ideal's basis,
+    as in `LieAlgebra.quotient`.
+    """
+    pivot_set = set(ideal.pivots)
+    non_pivots = [c for c in range(L.dim) if c not in pivot_set]
+    lifts = []
+    for row in h.rows():
+        v = [Fraction(0)] * L.dim
+        for a, c in enumerate(row):
+            v[non_pivots[a]] = c
+        lifts.append(v)
+    return Subspace.span(lifts + ideal.rows(), L.dim)
+
+
 def _stacked_center(Q: LieAlgebra) -> Subspace:
     blocks = [Q.ad(Q.basis_vector(j)) for j in range(Q.dim)]
     return Subspace(Q.dim, Matrix.stack(blocks, Q.dim).kernel())
@@ -214,16 +231,7 @@ def naive_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
 
     def step(t: Subspace) -> Subspace:
         Q, _ = L.quotient(t)
-        z = _stacked_center(Q)
-        pivot_set = set(t.pivots)
-        non_pivots = [c for c in range(L.dim) if c not in pivot_set]
-        lifts = []
-        for row in z.rows():
-            v = [Fraction(0)] * L.dim
-            for a, c in enumerate(row):
-                v[non_pivots[a]] = c
-            lifts.append(tuple(v))
-        return Subspace.span(lifts + t.rows(), L.dim)
+        return _preimage(L, t, _stacked_center(Q))
 
     return iterate_series(kind, L.zero_space(), step)
 
@@ -285,44 +293,57 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
     def violated(pid: str, detail: str, witness) -> None:
         checks.append(PropositionCheck(pid, VIOLATED, detail, witness))
 
-    # P2.1 -- sums of perfect ideals stay perfect.
-    pairs = list(combinations(perfect_ideals, 2))
-    if all(i.is_zero() for i in perfect_ideals):
-        vacuous("P2.1", "no nonzero perfect ideal sampled")
-    else:
-        bad = None
-        for a, b in pairs:
-            s = a.sum(b)
-            if not is_perfect_ideal(L, s):
-                bad = (a, b, s)
-                break
-        if bad is None:
-            hold("P2.1", f"{len(pairs)} pair(s) checked")
+    def flag_iff_zero(pid: str, flag: str, value: bool, name: str) -> None:
+        """On a nonzero algebra, `flag` holds iff the radical `name` is 0."""
+        if L.dim == 0:
+            return vacuous(pid, "zero algebra")
+        rad = getattr(prof, name)
+        text = f"{name.replace('_', ' ')} dim {rad.dim}"
+        if value == rad.is_zero():
+            hold(pid, f"{flag}={value}, {text}")
         else:
-            violated(
-                "P2.1",
-                "sum of two sampled perfect ideals is not perfect",
-                _witness(
-                    ideal_a=_basis_strings(bad[0]),
-                    ideal_b=_basis_strings(bad[1]),
-                    sum=_basis_strings(bad[2]),
-                ),
-            )
+            witness = _witness(**{name: _basis_strings(rad)})
+            violated(pid, f"{flag}={value} but {text}", witness)
+
+    def quotient_is(pid: str, pred, name: str, failure: str) -> None:
+        """L / (the radical `name`) satisfies `pred`."""
+        rad = getattr(prof, name)
+        q, _ = L.quotient(rad)
+        if pred(q):
+            hold(pid, f"quotient dim {q.dim}")
+        else:
+            violated(pid, failure, _witness(**{name: _basis_strings(rad)}))
+
+    def pairwise(pid, ideals, empty, combine, keeps, noun, failure) -> None:
+        """`keeps` holds for `combine` of every pair, unless `empty` says why not."""
+        if empty:
+            return vacuous(pid, empty)
+        pairs = list(combinations(ideals, 2))
+        bad = next(
+            ((a, b, c) for a, b in pairs if not keeps(L, c := combine(a, b))), None
+        )
+        if bad is None:
+            hold(pid, f"{len(pairs)} pair(s) checked")
+        else:
+            violated(pid, failure, _witness(
+                ideal_a=_basis_strings(bad[0]),
+                ideal_b=_basis_strings(bad[1]),
+                **{noun: _basis_strings(bad[2])},
+            ))
+
+    # P2.1 -- sums of perfect ideals stay perfect.
+    pairwise(
+        "P2.1",
+        perfect_ideals,
+        all(i.is_zero() for i in perfect_ideals) and "no nonzero perfect ideal sampled",
+        Subspace.sum,
+        is_perfect_ideal,
+        "sum",
+        "sum of two sampled perfect ideals is not perfect",
+    )
 
     # P2.2 -- solvable <=> P(L) = 0, for nonzero algebras.
-    if L.dim == 0:
-        vacuous("P2.2", "zero algebra")
-    else:
-        solv = prof.solvable
-        pzero = prof.perfect_radical.is_zero()
-        if solv == pzero:
-            hold("P2.2", f"solvable={solv}, perfect radical dim {prof.perfect_radical.dim}")
-        else:
-            violated(
-                "P2.2",
-                f"solvable={solv} but perfect radical dim {prof.perfect_radical.dim}",
-                _witness(perfect_radical=_basis_strings(prof.perfect_radical)),
-            )
+    flag_iff_zero("P2.2", "solvable", prof.solvable, "perfect_radical")
 
     # P2.4 -- a perfect ideal with a perfect quotient forces a perfect algebra.
     fired = []
@@ -342,61 +363,25 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
         )
 
     # P2.5 -- L / P(L) is solvable.
-    qp, _ = L.quotient(prof.perfect_radical)
-    if is_solvable(qp):
-        hold("P2.5", f"quotient dim {qp.dim}")
-    else:
-        violated(
-            "P2.5",
-            "quotient by the perfect radical is not solvable",
-            _witness(perfect_radical=_basis_strings(prof.perfect_radical)),
-        )
+    quotient_is(
+        "P2.5", is_solvable, "perfect_radical",
+        "quotient by the perfect radical is not solvable",
+    )
 
     # P3.1 -- sums of near perfect ideals stay near perfect.
-    pairs = list(combinations(near_perfect_ideals, 2))
-    if all(i.is_zero() for i in near_perfect_ideals):
-        vacuous("P3.1", "no nonzero near perfect ideal sampled")
-    else:
-        bad = None
-        for a, b in pairs:
-            s = a.sum(b)
-            if not is_near_perfect_ideal(L, s):
-                bad = (a, b, s)
-                break
-        if bad is None:
-            hold("P3.1", f"{len(pairs)} pair(s) checked")
-        else:
-            violated(
-                "P3.1",
-                "sum of two sampled near perfect ideals is not near perfect",
-                _witness(
-                    ideal_a=_basis_strings(bad[0]),
-                    ideal_b=_basis_strings(bad[1]),
-                    sum=_basis_strings(bad[2]),
-                ),
-            )
+    pairwise(
+        "P3.1",
+        near_perfect_ideals,
+        all(i.is_zero() for i in near_perfect_ideals)
+        and "no nonzero near perfect ideal sampled",
+        Subspace.sum,
+        is_near_perfect_ideal,
+        "sum",
+        "sum of two sampled near perfect ideals is not near perfect",
+    )
 
     # P3.2 -- nilpotent <=> NP(L) = 0, for nonzero algebras.
-    if L.dim == 0:
-        vacuous("P3.2", "zero algebra")
-    else:
-        nilp = prof.nilpotent
-        npzero = prof.near_perfect_radical.is_zero()
-        if nilp == npzero:
-            hold(
-                "P3.2",
-                f"nilpotent={nilp}, near perfect radical dim "
-                f"{prof.near_perfect_radical.dim}",
-            )
-        else:
-            violated(
-                "P3.2",
-                f"nilpotent={nilp} but near perfect radical dim "
-                f"{prof.near_perfect_radical.dim}",
-                _witness(
-                    near_perfect_radical=_basis_strings(prof.near_perfect_radical)
-                ),
-            )
+    flag_iff_zero("P3.2", "nilpotent", prof.nilpotent, "near_perfect_radical")
 
     # P3.4 -- preimages of near perfect ideals of L/I are near perfect in L.
     instances = 0
@@ -404,8 +389,6 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
     bad = None
     for i in near_perfect_ideals:
         q, _ = L.quotient(i)
-        pivot_set = set(i.pivots)
-        non_pivots = [c for c in range(L.dim) if c not in pivot_set]
         candidates = {q.zero_space()}
         candidates.add(profile(q).near_perfect_radical)
         for k in range(3):
@@ -413,13 +396,7 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
             if is_near_perfect_ideal(q, h):
                 candidates.add(h)
         for h in sorted(candidates, key=sort_key):
-            lifts = []
-            for row in h.rows():
-                v = [Fraction(0)] * L.dim
-                for a, c in enumerate(row):
-                    v[non_pivots[a]] = c
-                lifts.append(tuple(v))
-            j = Subspace.span(lifts + i.rows(), L.dim)
+            j = _preimage(L, i, h)
             instances += 1
             if i.dim > 0 or h.dim > 0:
                 nontrivial += 1
@@ -444,41 +421,21 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
         hold("P3.4", f"{instances} preimage(s) checked")
 
     # P3.5 -- L / NP(L) is nilpotent.
-    qnp, _ = L.quotient(prof.near_perfect_radical)
-    if is_nilpotent(qnp):
-        hold("P3.5", f"quotient dim {qnp.dim}")
-    else:
-        violated(
-            "P3.5",
-            "quotient by the near perfect radical is not nilpotent",
-            _witness(
-                near_perfect_radical=_basis_strings(prof.near_perfect_radical)
-            ),
-        )
+    quotient_is(
+        "P3.5", is_nilpotent, "near_perfect_radical",
+        "quotient by the near perfect radical is not nilpotent",
+    )
 
     # P4.1 -- intersections of upper bounded ideals stay upper bounded.
-    pairs = list(combinations(upper_bounded_ideals, 2))
-    if not pairs:
-        vacuous("P4.1", "fewer than two upper bounded ideals sampled")
-    else:
-        bad = None
-        for a, b in pairs:
-            h = a.intersect(b)
-            if not is_upper_bounded_ideal(L, h):
-                bad = (a, b, h)
-                break
-        if bad is None:
-            hold("P4.1", f"{len(pairs)} pair(s) checked")
-        else:
-            violated(
-                "P4.1",
-                "intersection of two sampled upper bounded ideals is not upper bounded",
-                _witness(
-                    ideal_a=_basis_strings(bad[0]),
-                    ideal_b=_basis_strings(bad[1]),
-                    intersection=_basis_strings(bad[2]),
-                ),
-            )
+    pairwise(
+        "P4.1",
+        upper_bounded_ideals,
+        len(upper_bounded_ideals) < 2 and "fewer than two upper bounded ideals sampled",
+        Subspace.intersect,
+        is_upper_bounded_ideal,
+        "intersection",
+        "intersection of two sampled upper bounded ideals is not upper bounded",
+    )
 
     # P4.2 -- the stabilized upper central term is below every upper bounded ideal.
     u = prof.smallest_upper_bounded

@@ -76,27 +76,8 @@ class Subspace:
     def rows(self) -> list[tuple[Fraction, ...]]:
         return self.basis.row_list()
 
-    def reduce(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Remainder of v after eliminating this subspace's pivot coordinates.
-
-        The result has zeros at all pivot columns; it is the canonical
-        representative of v modulo this subspace.
-        """
-        w = list(vector(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        for r_idx, p in enumerate(self.pivots):
-            c = w[p]
-            if c:
-                row = self.basis.row(r_idx)
-                w = [a - c * b for a, b in zip(w, row)]
-        return tuple(w)
-
-    def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
-
-    def coordinates(self, v: Sequence) -> tuple[Fraction, ...] | None:
-        """Coefficients of v against the RREF basis, or None if v is outside."""
+    def _eliminate(self, v: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+        """Coefficients taken off v at each pivot, and what remains of v."""
         w = list(vector(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector length disagrees with ambient dimension")
@@ -107,9 +88,23 @@ class Subspace:
             if c:
                 row = self.basis.row(r_idx)
                 w = [a - c * b for a, b in zip(w, row)]
-        if not is_zero_vector(w):
-            return None
-        return tuple(coeffs)
+        return tuple(coeffs), tuple(w)
+
+    def reduce(self, v: Sequence) -> tuple[Fraction, ...]:
+        """Remainder of v after eliminating this subspace's pivot coordinates.
+
+        The result has zeros at all pivot columns; it is the canonical
+        representative of v modulo this subspace.
+        """
+        return self._eliminate(v)[1]
+
+    def contains(self, v: Sequence) -> bool:
+        return is_zero_vector(self.reduce(v))
+
+    def coordinates(self, v: Sequence) -> tuple[Fraction, ...] | None:
+        """Coefficients of v against the RREF basis, or None if v is outside."""
+        coeffs, rest = self._eliminate(v)
+        return coeffs if is_zero_vector(rest) else None
 
     # -- lattice operations --------------------------------------------------
 
@@ -122,28 +117,15 @@ class Subspace:
         return Subspace.span(self.rows() + other.rows(), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via the kernel of the stacked coefficient system.
+        """U ∩ V = (U^⊥ + V^⊥)^⊥ under the standard dot product.
 
-        A vector lies in both spaces iff it is x·A = y·B for coefficient rows
-        x, y; the solutions (x, y) form the kernel of [A; -B] transposed.
+        Each annihilator is the kernel of a basis matrix; the dot product is
+        nondegenerate, so (U^⊥)^⊥ = U and the outer kernel is U ∩ V.
         """
         self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        neg_other = Matrix.from_rows(
-            [[-x for x in row] for row in other.rows()], self.ambient_dim
-        )
-        stacked = Matrix.stack([self.basis, neg_other], self.ambient_dim)
-        coeffs = stacked.transpose().kernel()
-        vecs = []
-        for i in range(coeffs.rows):
-            xs = coeffs.row(i)[: self.dim]
-            v = [Fraction(0)] * self.ambient_dim
-            for c, row in zip(xs, self.rows()):
-                if c:
-                    v = [a + c * b for a, b in zip(v, row)]
-            vecs.append(v)
-        return Subspace.span(vecs, self.ambient_dim)
+        n = self.ambient_dim
+        annihilators = Matrix.stack([self.basis.kernel(), other.basis.kernel()], n)
+        return Subspace(n, annihilators.kernel())
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -1,0 +1,189 @@
+"""Test-side builders and slow reference computations.
+
+The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and are
+built here, apart from the package's own catalog.  The reference
+routines are the package's earlier implementations of the Killing Gram
+matrix, the upper extension, the axiom check and subspace intersection,
+kept as slow paths
+that the faster code is compared against entry by entry.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from lieradicals.core import LieAlgebra
+from lieradicals.linalg import Matrix, is_zero_vector, vadd
+from lieradicals.subspace import Subspace
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# -- matrix-unit families --------------------------------------------------------
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """[x, y] = xy - yx for sparse matrices {(i, j): coefficient}."""
+    out: dict = {}
+    for (i, j), a in x.items():
+        for (k, l), b in y.items():
+            if j == k:
+                out[(i, l)] = out.get((i, l), ZERO) + a * b
+            if l == i:
+                out[(k, j)] = out.get((k, j), ZERO) - a * b
+    return {key: c for key, c in out.items() if c}
+
+
+def _matrix_algebra(basis: list[dict], coords) -> LieAlgebra:
+    brackets = {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            comm = _commutator(basis[a], basis[b])
+            if comm:
+                brackets[(a, b)] = coords(comm)
+    return LieAlgebra.from_brackets(len(basis), brackets)
+
+
+def _unit_algebra(units: list[tuple[int, int]]) -> LieAlgebra:
+    index = {u: k for k, u in enumerate(units)}
+
+    def coords(m: dict) -> list:
+        vec = [ZERO] * len(units)
+        for key, c in m.items():
+            vec[index[key]] = c
+        return vec
+
+    return _matrix_algebra([{u: ONE} for u in units], coords)
+
+
+def gl(n: int) -> LieAlgebra:
+    return _unit_algebra([(i, j) for i in range(n) for j in range(n)])
+
+
+def b(n: int) -> LieAlgebra:
+    """Upper triangular n x n matrices, diagonal included."""
+    return _unit_algebra([(i, j) for i in range(n) for j in range(i, n)])
+
+
+def n_(n: int) -> LieAlgebra:
+    """Strictly upper triangular n x n matrices."""
+    return _unit_algebra([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def sl(n: int) -> LieAlgebra:
+    """Off-diagonal units, then H_i = E_ii - E_(i+1)(i+1)."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [{u: ONE} for u in off]
+    basis += [{(i, i): ONE, (i + 1, i + 1): -ONE} for i in range(n - 1)]
+    index = {u: k for k, u in enumerate(off)}
+
+    def coords(m: dict) -> list:
+        vec = [ZERO] * len(basis)
+        running = ZERO
+        for i in range(n - 1):
+            # The coefficient of H_i is the sum of the first i+1 diagonal entries.
+            running += m.get((i, i), ZERO)
+            vec[len(off) + i] = running
+        for key, c in m.items():
+            if key[0] != key[1]:
+                vec[index[key]] = c
+        return vec
+
+    return _matrix_algebra(basis, coords)
+
+
+def abelian(n: int) -> LieAlgebra:
+    return LieAlgebra.from_brackets(n, {})
+
+
+FAMILIES = {"gl": gl, "sl": sl, "b": b, "n": n_, "abelian": abelian}
+
+
+def build(name: str) -> LieAlgebra:
+    """`gl4`, `sl3`, `b5`, `n6`, `abelian12`: family name then size."""
+    family = name.rstrip("0123456789")
+    return FAMILIES[family](int(name[len(family):]))
+
+
+def matrix_unit_ladder(max_dim: int) -> list[str]:
+    """Names of every gl_n, sl_n, b_n and n_n member of dimension <= max_dim."""
+    dims = {
+        "gl": lambda n: n * n,
+        "sl": lambda n: n * n - 1,
+        "b": lambda n: n * (n + 1) // 2,
+        "n": lambda n: n * (n - 1) // 2,
+    }
+    names = []
+    for family, dim in dims.items():
+        n = 2
+        while dim(n) <= max_dim:
+            names.append(f"{family}{n}")
+            n += 1
+    return names
+
+
+# -- slow paths -------------------------------------------------------------------
+
+
+def dense_killing(L: LieAlgebra) -> Matrix:
+    """K_ij = tr(ad(e_i) @ ad(e_j)) from dense adjoint matrices."""
+    n = L.dim
+    ads = [L.ad(L.basis_vector(i)) for i in range(n)]
+    ents = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = (ads[i] @ ads[j]).trace()
+            ents[i][j] = t
+            ents[j][i] = t
+    return Matrix.from_rows(ents, n)
+
+
+def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
+    """Kernel of the stacked maps proj @ -ad(e_j), one block per basis vector."""
+    proj = ideal.quotient_projection()
+    blocks = []
+    for j in range(L.dim):
+        ad_j = L.ad(L.basis_vector(j))
+        neg_ad_j = Matrix(ad_j.rows, ad_j.cols, [-a for a in ad_j.entries])
+        blocks.append(proj @ neg_ad_j)
+    return Subspace(L.dim, Matrix.stack(blocks, L.dim).kernel())
+
+
+def coefficient_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """U ∩ V from the solutions (x, y) of x·A = y·B on the two bases."""
+    n = a.ambient_dim
+    if a.is_zero() or b.is_zero():
+        return Subspace.zero(n)
+    neg_b = Matrix.from_rows([[-x for x in row] for row in b.rows()], n)
+    coeffs = Matrix.stack([a.basis, neg_b], n).transpose().kernel()
+    vecs = []
+    for i in range(coeffs.rows):
+        v = [ZERO] * n
+        for c, row in zip(coeffs.row(i)[: a.dim], a.rows()):
+            v = [p + c * q for p, q in zip(v, row)]
+        vecs.append(v)
+    return Subspace.span(vecs, n)
+
+
+def dense_validate(L: LieAlgebra) -> tuple:
+    """(ok, kind, indices) of the first axiom failure over every pair and triple."""
+    n, c = L.dim, L.constants
+    for i in range(n):
+        for j in range(i, n):
+            vij, vji = c.bracket_basis(i, j), c.bracket_basis(j, i)
+            if any(a != -b for a, b in zip(vij, vji)):
+                return (False, "antisymmetry", (i + 1, j + 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = vadd(
+                    vadd(
+                        L.bracket(c.bracket_basis(i, j), L.basis_vector(k)),
+                        L.bracket(c.bracket_basis(j, k), L.basis_vector(i)),
+                    ),
+                    L.bracket(c.bracket_basis(k, i), L.basis_vector(j)),
+                )
+                if not is_zero_vector(s):
+                    return (False, "jacobi", (i + 1, j + 1, k + 1))
+    return (True, None, ())

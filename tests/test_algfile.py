@@ -67,6 +67,13 @@ def test_syntax_error_carries_line_number():
     assert err.value.line == 2
 
 
+def test_zero_denominator_is_a_parse_error_with_line_number():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("dim 2\n[1,2] = 1*e2 + 1/0*e1\n")
+    assert err.value.line == 2
+    assert "zero denominator" in str(err.value)
+
+
 def test_unrecognized_line():
     with pytest.raises(ParseError) as err:
         parse_algebra("dim 2\nhello world\n")

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lieradicals
 import lieradicals.cli as cli
 from lieradicals import catalog
 from lieradicals.cli import main
@@ -88,6 +91,23 @@ def test_analyze_invalid_algebra_exit_1(tmp_path, capsys):
     assert "Jacobi" in capsys.readouterr().err
 
 
+def test_analyze_zero_denominator_exit_2(tmp_path, capsys):
+    p = tmp_path / "zero.alg"
+    p.write_text("dim 2\n[1,2] = 1/0*e1\n")
+    assert main(["analyze", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 2: zero denominator")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_is_a_usage_error(good_file, samples, capsys):
+    assert main(["verify", good_file, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
+
 def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/nope.alg"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -169,10 +189,15 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_module_entry_point_runs():
+    # Run the package under test, wherever it was imported from.
+    src = str(Path(lieradicals.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-m", "lieradicals", "catalog"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "s3_2" in proc.stdout

@@ -53,7 +53,7 @@ def test_jacobi_violation_reported_with_triple():
 
 
 def test_antisymmetry_violation_via_raw_table():
-    raw = StructureConstants.from_table(
+    raw = StructureConstants(
         2, {(0, 1): (0, 1), (1, 0): (0, 1)}
     )
     report = LieAlgebra(raw).validate()

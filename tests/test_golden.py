@@ -1,0 +1,72 @@
+"""Byte-for-byte gate on the CLI's JSON output.
+
+Each file under `tests/golden/` holds the exact stdout of one command:
+`analyze --json` on every catalog entry and on the matrix-unit algebras in
+`ANALYZE_FAMILIES`, and `verify --json --samples 50 --seed 0` on every
+catalog entry.  Any change to a computed subspace, flag, witness or to the
+rendering shows up here as a diff.  To rewrite the files after an intended
+output change, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from lieradicals import catalog
+from lieradicals.algfile import render_algebra
+from lieradicals.cli import main
+
+import reference
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4")
+VERIFY_ARGS = ("--json", "--samples", "50", "--seed", "0")
+
+
+def _cases() -> list[tuple[str, str, str]]:
+    """(case name, command, source name) for every golden file."""
+    cases = [(f"analyze-{n}", "analyze", n) for n in catalog.names()]
+    cases += [(f"analyze-{n}", "analyze", n) for n in ANALYZE_FAMILIES]
+    cases += [(f"verify-{n}", "verify", n) for n in catalog.names()]
+    return cases
+
+
+def _algebra_text(source: str) -> str:
+    if source in catalog.names():
+        entry = catalog.get(source)
+        return render_algebra(entry.algebra, name=entry.name)
+    return render_algebra(reference.build(source), name=source)
+
+
+def run_case(command: str, source: str, workdir: Path) -> str:
+    path = workdir / f"{source}.alg"
+    path.write_text(_algebra_text(source))
+    args = ["--json"] if command == "analyze" else list(VERIFY_ARGS)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, str(path), *args])
+    assert code == 0, (command, source, code)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name,command,source", _cases(), ids=[c[0] for c in _cases()]
+)
+def test_output_matches_golden_file(name, command, source, tmp_path):
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert run_case(command, source, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, source in _cases():
+            (GOLDEN / f"{name}.json").write_text(run_case(command, source, Path(tmp)))
+            print(f"wrote {name}.json", file=sys.stderr)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from lieradicals.linalg import Matrix
 from lieradicals.subspace import Subspace
 
+import reference
+
 
 def span(*vecs, n=3):
     return Subspace.span(vecs, n)
@@ -135,6 +137,12 @@ def test_canonicality_under_permutation_and_rescaling(data):
     vecs, perm, scales = data
     rescaled = [[s * x for x in v] for s, v in zip(scales, perm)]
     assert Subspace.span(rescaled, 4) == Subspace.span(vecs, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspaces(), subspaces())
+def test_intersect_matches_coefficient_system(a, b):
+    assert a.intersect(b) == reference.coefficient_intersect(a, b)
 
 
 @settings(max_examples=60, deadline=None)

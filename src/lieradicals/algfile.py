@@ -23,6 +23,9 @@ from fractions import Fraction
 
 from .core import LieAlgebra, StructureConstants, ValidationReport
 
+#: Largest `dim` a file may declare: cost grows at least as dim², so refuse early.
+MAX_DIM = 256
+
 _DIM_RE = re.compile(r"dim\s+(\d+)$")
 _BASIS_RE = re.compile(r"basis\s+(.+)$")
 _BRACKET_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
@@ -71,6 +74,9 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise ParseError("malformed dim line", lineno)
             if dim is not None:
                 raise ParseError("duplicate dim line", lineno)
+            digits = m.group(1).lstrip("0")
+            if len(digits) > len(str(MAX_DIM)) or int(digits or 0) > MAX_DIM:
+                raise ParseError(f"dim exceeds the limit of {MAX_DIM}", lineno)
             dim = int(m.group(1))
             continue
 

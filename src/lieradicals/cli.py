@@ -133,7 +133,7 @@ def _load(path: str) -> LieAlgebra | int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -6,14 +6,17 @@ vectors and of subspaces, ideal tests and ideal closure, the adjoint
 representation, the Killing form and its orthogonal complements, restriction
 to a subalgebra, and quotients by ideals.
 
-Structure computations read one cached sparse adjoint table,
-``_adjoint[i][j] = {k: c^k_ij}``, built once from the nonzero brackets.
+Structure computations read one cached sparse adjoint table of integers,
+``_adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the common
+denominator D of all the constants, built once from the nonzero brackets.
 Brackets of vectors, ``ad``, the axiom check and the Killing Gram matrix
 K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory and
 Algorithms*, ch. 1) walk only its nonzero entries, and the upper extension
 in `series` visits only the stored nonzero brackets, so their work grows with
 the number of nonzero structure constants rather than with powers of the
-dimension: an abelian algebra costs next to nothing at any size.
+dimension: an abelian algebra costs next to nothing at any size.  Scaling by D
+keeps antisymmetry, Jacobi and spans, so `validate` and `bracket_spaces` run on
+integers alone; `bracket` and `ad` divide by D once, `_killing` by D².
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -28,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, is_zero_vector, vector, zero_vector
+from .linalg import Matrix, integer_row, is_zero_vector, vector, zero_vector
 from .subspace import Subspace
 
 
@@ -223,7 +227,7 @@ class LieAlgebra:
                 else:  # only k with [e_j, e_k] or [e_k, e_i] nonzero matter
                     ks = sorted(k for k in adj[i].keys() | adj[j].keys() if k > j)
                 for k in ks:
-                    s: dict[int, Fraction] = {}
+                    s: dict[int, int] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         # [[e_a, e_b], e_c] = sum_m c^m_ab [e_m, e_c]
                         for m, cm in adj[a].get(b, {}).items():
@@ -256,17 +260,15 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """[x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i and stored brackets."""
-        x = vector(x)
+        x = [a / self._denominator for a in vector(x)]
         y = vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
-        return tuple(self._bracket(_support(x), y))
+        return vector(self._bracket(_support(x), y))
 
-    def _bracket(
-        self, xs: list[tuple[int, Fraction]], y: Sequence[Fraction]
-    ) -> list[Fraction]:
-        """[x, y] from the nonzero (i, x_i) of x."""
-        out = [Fraction(0)] * self.dim
+    def _bracket(self, xs: list[tuple], y: Sequence) -> list:
+        """D·[x, y] from the nonzero (i, x_i) of x, in the type of the inputs."""
+        out = [0] * self.dim
         for i, xi in xs:
             for j, col in self._adjoint[i].items():
                 c = xi * y[j]
@@ -279,10 +281,10 @@ class LieAlgebra:
         """Span of the pairwise brackets of the two bases: the ideal product."""
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
-        rows = b.rows()
+        rows = [integer_row(v) for v in b.rows()]
         vecs = []
         for u in a.rows():
-            xs = _support(u)
+            xs = _support(integer_row(u))
             for v in rows:
                 w = self._bracket(xs, v)
                 # Zero brackets do not change the span, so they skip elimination.
@@ -308,7 +310,7 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Adjoint matrix of x: column j is [x, e_j]."""
-        x = vector(x)
+        x = [a / self._denominator for a in vector(x)]
         if len(x) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
         n = self.dim
@@ -320,11 +322,18 @@ class LieAlgebra:
         return Matrix(n, n, ents)
 
     @cached_property
-    def _adjoint(self) -> tuple[dict[int, dict[int, Fraction]], ...]:
-        """_adjoint[i][j] = {k: c^k_ij}, holding only the nonzero constants."""
-        table: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
+    def _denominator(self) -> int:
+        """D, the lcm of the denominators of all the structure constants."""
+        return lcm(*(c.denominator for _, v in self.constants.items() for c in v))
+
+    @cached_property
+    def _adjoint(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """_adjoint[i][j] = {k: a^k_ij}, holding only the nonzero D·c^k_ij."""
+        d = self._denominator
+        table: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
         for (i, j), v in self.constants.items():
-            table[i][j] = {k: c for k, c in enumerate(v) if c}
+            a = [c.numerator * (d // c.denominator) for c in v]
+            table[i][j] = {k: x for k, x in enumerate(a) if x}
         return tuple(table)
 
     @cached_property
@@ -332,17 +341,17 @@ class LieAlgebra:
         """K_ij = sum_{k,l} c^l_ik c^k_jl, summed over the nonzero c^l_ik."""
         n = self.dim
         adj = self._adjoint
+        d2 = self._denominator ** 2
         ents = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                t = Fraction(0)
+                t = 0
                 for k, col in adj[i].items():
                     for l, c in col.items():
                         d = adj[j].get(l, {}).get(k)
                         if d:
                             t += c * d
-                ents[i][j] = t
-                ents[j][i] = t
+                ents[i][j] = ents[j][i] = Fraction(t, d2)
         return Matrix.from_rows(ents, n)
 
     def killing_matrix(self) -> Matrix:

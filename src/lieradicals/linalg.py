@@ -2,14 +2,17 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary-precision, always stored
 reduced with a positive denominator), so every result in this package is exact.
-Matrices are small, dense and immutable; the workhorse is :meth:`Matrix.rref`,
-which everything else (kernels, subspace lattices, series computations) is
-built on.
+Matrices are small, dense and immutable; the workhorse is :func:`rref_rows`,
+behind :meth:`Matrix.rref` and ``Subspace.span``, which everything else
+(kernels, subspace lattices, series computations) is built on.  It scales each
+row to coprime integers (:func:`integer_row`), eliminates fraction-free in
+`_echelon`, and makes Fractions only when dividing each row by its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -45,6 +48,52 @@ def vdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+def integer_row(row: Sequence) -> list[int]:
+    """Coprime integers on the line of an int or Fraction row (0s for a zero row)."""
+    d = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss–Jordan on nonzero primitive integer rows (Bareiss 1968).
+
+    Entry f is cleared against pivot p by row <- (p/g)·row − (f/g)·prow with
+    g = gcd(p, f), then the row is divided by its gcd.  Returns the echelon rows,
+    each zero at every pivot column but its own, and their pivot columns.
+    """
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                g = gcd(p, row[c])
+                a, b = p // g, row[c] // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                h = gcd(*row)
+                rows[i] = [x // h for x in row] if h > 1 else row
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def rref_rows(
+    rows: Iterable[Sequence], cols: int
+) -> tuple[list[tuple[Fraction, ...]], tuple[int, ...]]:
+    """Canonical RREF of the span of int or Fraction rows, and its pivot columns."""
+    red, pivots = _echelon([r for r in map(integer_row, rows) if any(r)], cols)
+    out = []
+    for row, c in zip(red, pivots):
+        out.append(tuple(Fraction(x, row[c]) if x else _ZERO for x in row))
+    return out, tuple(pivots)
 
 
 class Matrix:
@@ -160,33 +209,8 @@ class Matrix:
         the strictly increasing pivot-column indices.  The row space is
         preserved, which makes the result a canonical form for subspaces.
         """
-        m = [list(self.row(i)) for i in range(self.rows)]
-        n_rows = len(m)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, n_rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            row_r = m[r]
-            for i in range(n_rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], row_r)]
-            pivots.append(c)
-            r += 1
-            if r == n_rows:
-                break
-        return Matrix.from_rows(m[:r], self.cols), tuple(pivots)
+        red, pivots = rref_rows(self.row_list(), self.cols)
+        return Matrix.from_rows(red, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, is_zero_vector, vector
+from .linalg import Matrix, is_zero_vector, rref_rows, vector
 
 
 class Subspace:
@@ -45,13 +45,13 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        """Smallest subspace containing the given vectors, canonicalized."""
-        rows = [vector(v) for v in vectors]
+        """Smallest subspace containing the int or Fraction rows, canonicalized."""
+        rows = list(vectors)
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length disagrees with ambient dimension")
-        reduced, _ = Matrix.from_rows(rows, ambient_dim).rref()
-        return cls(ambient_dim, reduced)
+        reduced, _ = rref_rows(rows, ambient_dim)
+        return cls(ambient_dim, Matrix.from_rows(reduced, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -1,11 +1,12 @@
 """Test-side builders and slow reference computations.
 
 The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and are
-built here, apart from the package's own catalog.  The reference
-routines are the package's earlier implementations of the Killing Gram
-matrix, the upper extension, the axiom check and subspace intersection,
-kept as slow paths
-that the faster code is compared against entry by entry.
+built here, apart from the package's own catalog; `rational-<name>` is the
+same algebra in a fixed dense basis whose constants carry denominators.  The
+reference routines are the package's earlier implementations of the RREF,
+the Killing Gram matrix, the upper extension, the axiom check and subspace
+intersection, kept as slow paths that the faster code is compared against
+entry by entry.
 """
 
 from __future__ import annotations
@@ -101,9 +102,53 @@ FAMILIES = {"gl": gl, "sl": sl, "b": b, "n": n_, "abelian": abelian}
 
 
 def build(name: str) -> LieAlgebra:
-    """`gl4`, `sl3`, `b5`, `n6`, `abelian12`: family name then size."""
+    """`gl4`, `sl3`, `b5`, `n6`, `abelian12`: family name then size.
+
+    A `rational-` prefix gives the algebra in the basis of `basis_change`.
+    """
+    if name.startswith("rational-"):
+        return rebase(build(name[len("rational-"):]))
     family = name.rstrip("0123456789")
     return FAMILIES[family](int(name[len(family):]))
+
+
+#: Matrix-unit algebras that the tests also take in the rational basis.
+RATIONAL = ("rational-b3", "rational-gl3", "rational-n5")
+
+_SCALES = (ONE, Fraction(1, 2), Fraction(-2, 3), Fraction(3), -ONE, Fraction(5, 4))
+
+
+def basis_change(dim: int) -> list[list[Fraction]]:
+    """A fixed invertible P = lower · diag(scales) · upper, dense with denominators.
+
+    The triangular factors have unit diagonals and entries in {-1, 0, 1}
+    off it, chosen by index arithmetic, so P depends on `dim` alone.
+    """
+    lower = [[ONE if i == j else Fraction((i + 2 * j) % 3 - 1) if j < i else ZERO
+              for j in range(dim)] for i in range(dim)]
+    upper = [[ONE if i == j else Fraction((2 * i + j) % 3 - 1) if j > i else ZERO
+              for j in range(dim)] for i in range(dim)]
+    scaled = [[lower[i][k] * _SCALES[k % len(_SCALES)] for k in range(dim)]
+              for i in range(dim)]
+    return [[sum((scaled[i][k] * upper[k][j] for k in range(dim)), ZERO)
+             for j in range(dim)] for i in range(dim)]
+
+
+def rebase(L: LieAlgebra) -> LieAlgebra:
+    """L in the basis f_a = sum_i P[a][i] e_i, with P = basis_change(L.dim)."""
+    n = L.dim
+    p = basis_change(n)
+    aug = Matrix.from_rows([row + [ONE if i == j else ZERO for j in range(n)]
+                            for i, row in enumerate(p)], 2 * n)
+    red, _ = fraction_rref(aug)
+    p_inv = [red.row(i)[n:] for i in range(n)]  # [P | I] reduces to [I | P^-1]
+    brackets = {}
+    for a in range(n):
+        for b_ in range(a + 1, n):
+            v = L.bracket(p[a], p[b_])
+            brackets[(a, b_)] = [sum((v[i] * p_inv[i][k] for i in range(n)), ZERO)
+                                 for k in range(n)]
+    return LieAlgebra.from_brackets(n, brackets)
 
 
 def matrix_unit_ladder(max_dim: int) -> list[str]:
@@ -124,6 +169,37 @@ def matrix_unit_ladder(max_dim: int) -> list[str]:
 
 
 # -- slow paths -------------------------------------------------------------------
+
+
+def fraction_rref(mat: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss–Jordan over `Fraction`s: the canonical RREF and its pivot columns."""
+    m = [list(mat.row(i)) for i in range(mat.rows)]
+    n_rows = len(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(mat.cols):
+        pr = None
+        for i in range(r, n_rows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        row_r = m[r]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return Matrix.from_rows(m[:r], mat.cols), tuple(pivots)
 
 
 def dense_killing(L: LieAlgebra) -> Matrix:

@@ -4,6 +4,7 @@ import pytest
 
 from lieradicals import catalog
 from lieradicals.algfile import (
+    MAX_DIM,
     InvalidAlgebraError,
     ParseError,
     parse_algebra,
@@ -72,6 +73,19 @@ def test_zero_denominator_is_a_parse_error_with_line_number():
         parse_algebra("dim 2\n[1,2] = 1*e2 + 1/0*e1\n")
     assert err.value.line == 2
     assert "zero denominator" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["257", "99999999999", "9" * 5000])
+def test_dim_above_the_limit_is_a_parse_error(value):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"# big\ndim {value}\n")
+    assert err.value.line == 2
+    assert f"limit of {MAX_DIM}" in str(err.value)
+
+
+def test_dim_at_the_limit_parses():
+    assert MAX_DIM == 256
+    assert parse_algebra(f"dim 0{MAX_DIM}\n").dim == MAX_DIM
 
 
 def test_unrecognized_line():

@@ -113,6 +113,25 @@ def test_analyze_missing_file_exit_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_non_utf8_file_exit_2(tmp_path, command, capsys):
+    p = tmp_path / "utf16.alg"
+    p.write_bytes(b"\xff\xfe" + "dim 1\n".encode("utf-16-le"))
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {p}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_dim_above_the_limit_exit_2(tmp_path, command, capsys):
+    p = tmp_path / "huge.alg"
+    p.write_text("dim 99999999999\n")
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 1: dim exceeds the limit of 256\n"
+
+
 def test_verify_good_file(good_file, capsys):
     assert main(["verify", good_file, "--samples", "20", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 Each file under `tests/golden/` holds the exact stdout of one command:
 `analyze --json` on every catalog entry and on the matrix-unit algebras in
-`ANALYZE_FAMILIES`, and `verify --json --samples 50 --seed 0` on every
+`ANALYZE_FAMILIES`, some of them in a dense rational basis, and `verify --json --samples 50 --seed 0` on every
 catalog entry.  Any change to a computed subspace, flag, witness or to the
 rendering shows up here as a diff.  To rewrite the files after an intended
 output change, run `PYTHONPATH=src python tests/test_golden.py`.
@@ -24,7 +24,7 @@ from lieradicals.cli import main
 import reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4")
+ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4", *reference.RATIONAL)
 VERIFY_ARGS = ("--json", "--samples", "50", "--seed", "0")
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieradicals.linalg import Matrix, is_zero_vector, vdot
+
+import reference
 
 
 F = Fraction
@@ -81,6 +84,64 @@ def test_rref_preserves_row_space(m):
     for i in range(reduced.rows):
         red2, piv2 = m.rref()
         assert _in_row_space(red2, piv2, reduced.row(i))
+
+
+# -- the integer kernel against the Fraction slow path --------------------------
+
+
+def _random_matrices(count: int, seed: int):
+    """Seeded rational matrices: small, with denominators, or with huge entries.
+
+    Some rows are zero and some are combinations of others, so ranks fall
+    short; pivots come out negative and non-unit as often as not.
+    """
+    rng = random.Random(seed)
+    draws = (
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)),
+    )
+    for _ in range(count):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        draw, zero_share = rng.choice(draws), rng.random()
+        m = [[draw() if rng.random() > zero_share else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if m and rng.random() < 0.5:
+            a, b, c = rng.choice(m), rng.choice(m), draw()
+            m.append([x + c * y for x, y in zip(a, b)])
+        yield Matrix.from_rows(m, cols)
+
+
+def _hilbert(n: int) -> Matrix:
+    return Matrix.from_rows([[F(1, i + j + 1) for j in range(n)] for i in range(n)])
+
+
+EDGE_MATRICES = [
+    Matrix.from_rows([], 0),
+    Matrix.from_rows([], 4),
+    Matrix.from_rows([(), (), ()], 0),
+    Matrix.zeros(3, 4),
+    Matrix.from_rows([[0, -3, 2, 5], [0, 6, -4, 1], [0, -9, 6, 7]]),
+    Matrix.from_rows([[F(-7, 2), F(1, 3)], [F(7, 4), F(-1, 6)]]),
+    _hilbert(9),
+    # rank 2, entries near 2^200: coefficient growth in the updates
+    _hilbert(6) @ Matrix.from_rows([[2**200 + 1, 3, -(5**80)], [7, -(2**150), 1]]
+                                   + [[0, 0, 0]] * 4),
+]
+
+
+@pytest.mark.parametrize("m", EDGE_MATRICES, ids=range(len(EDGE_MATRICES)))
+def test_rref_matches_fraction_slow_path_on_edge_cases(m):
+    assert m.rref() == reference.fraction_rref(m)
+
+
+def test_rref_matches_fraction_slow_path_on_random_matrices():
+    ranks = set()
+    for m in _random_matrices(1500, 20240811):
+        red, pivots = m.rref()
+        assert (red, pivots) == reference.fraction_rref(m)
+        ranks.add((len(pivots), m.rows))
+    assert (0, 0) in ranks and (0, 3) in ranks and (7, 7) in ranks
 
 
 # -- kernel ----------------------------------------------------------------

@@ -4,20 +4,23 @@
 adjoint table; `reference.dense_killing` and `reference.dense_upper_extension`
 are the dense `ad`-matrix computations they replaced.  Both are compared
 entry by entry on the catalog, the seeded random corpus, the matrix-unit
-families up to dimension 16 and abelian algebras.  `LieAlgebra.validate`,
-which skips the Jacobi triples that touch no nonzero bracket, is compared
-with the check over every pair and triple on random raw tables, most of
-them invalid.
+families up to dimension 16, three of them again in a dense rational basis,
+and abelian algebras.  `LieAlgebra.validate`, which skips the Jacobi triples
+that touch no nonzero bracket and works on the constants scaled to integers,
+is compared with the check over every pair and triple on random raw tables,
+most of them invalid, with integer constants and with denominators.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from lieradicals import catalog
+from lieradicals import catalog, linalg, subspace
 from lieradicals.core import LieAlgebra, StructureConstants
+from lieradicals.linalg import Matrix
 from lieradicals.oracle import random_algebras
 from lieradicals.series import (
     derived_series,
@@ -40,6 +43,7 @@ def _inputs():
     corpus = random_algebras(100, 4, 20240809)
     cases += [(f"random-{k:03d}", L) for k, L in enumerate(corpus)]
     cases += [(name, reference.build(name)) for name in FAMILY_NAMES]
+    cases += [(name, reference.build(name)) for name in reference.RATIONAL]
     cases += [(f"abelian{n}", reference.abelian(n)) for n in ABELIAN_DIMS]
     return cases
 
@@ -69,6 +73,16 @@ def test_killing_matrix_matches_dense_traces(name, L):
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_bracket_and_ad_of_basis_vectors_give_the_constants(name, L):
+    for i in range(L.dim):
+        ad_i = L.ad(L.basis_vector(i))
+        for j in range(L.dim):
+            expected = L.constants.bracket_basis(i, j)
+            assert L.bracket(L.basis_vector(i), L.basis_vector(j)) == expected
+            assert tuple(ad_i[k, j] for k in range(L.dim)) == expected
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_upper_extension_matches_dense_stack(name, L):
     for ideal in _ideals(L):
         assert upper_extension(L, ideal) == reference.dense_upper_extension(L, ideal)
@@ -79,14 +93,43 @@ def test_profile_semisimple_agrees_with_form_cross_check(name, L):
     assert profile(L).semisimple == is_semisimple(L)
 
 
-def _raw_tables(count: int, seed: int):
+INTEGER_VALUES = (0, 0, 1, -1, 2)
+RATIONAL_VALUES = (0, 0, 1, Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4))
+
+
+def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
+    """Every matrix the elimination kernel sees while profiling the inputs."""
+    seen = {}
+    kernel = linalg.rref_rows
+
+    def record(rows, cols):
+        rows = tuple(tuple(r) for r in rows)
+        seen[(rows, cols)] = None
+        return kernel(rows, cols)
+
+    monkeypatch.setattr(linalg, "rref_rows", record)
+    monkeypatch.setattr(subspace, "rref_rows", record)
+    for _, L in INPUTS:
+        profile(L)
+    monkeypatch.undo()
+    assert len(seen) >= 300
+    assert any(x.denominator > 1 for rows, _ in seen for r in rows for x in r)
+    for rows, cols in seen:
+        m = Matrix.from_rows(rows, cols)
+        expected = reference.fraction_rref(m)
+        assert m.rref() == expected
+        red, pivots = kernel(rows, cols)
+        assert (Matrix.from_rows(red, cols), pivots) == expected
+
+
+def _raw_tables(count: int, seed: int, values=INTEGER_VALUES):
     """Random tables, raw and antisymmetrized; most fail an axiom."""
     rng = random.Random(seed)
     for _ in range(count):
         dim = rng.randint(1, 6)
         table = {
             (rng.randrange(dim), rng.randrange(dim)): [
-                rng.choice((0, 0, 1, -1, 2)) for _ in range(dim)
+                rng.choice(values) for _ in range(dim)
             ]
             for _ in range(rng.randint(0, 8))
         }
@@ -97,14 +140,22 @@ def _raw_tables(count: int, seed: int):
             pass
 
 
-def test_validate_reports_the_first_failure_of_the_full_check():
+def _check_against_full_validate(tables):
     kinds = set()
-    for constants in _raw_tables(1500, 7):
+    for constants in tables:
         L = LieAlgebra(constants)
         report = L.validate()
         assert (report.ok, report.kind, report.indices) == reference.dense_validate(L)
         kinds.add(report.kind)
     assert kinds == {None, "antisymmetry", "jacobi"}
+
+
+def test_validate_reports_the_first_failure_of_the_full_check():
+    _check_against_full_validate(_raw_tables(1500, 7))
+
+
+def test_validate_with_denominators_matches_the_full_check():
+    _check_against_full_validate(_raw_tables(800, 11, RATIONAL_VALUES))
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,16 @@ def subspaces(n=4):
 def test_span_empty_is_zero():
     s = Subspace.span([], 3)
     assert s.is_zero() and s.dim == 0 and s.ambient_dim == 3
+
+
+def test_span_of_integer_rows_equals_span_of_the_same_fractions():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -6, 10**25)) for _ in range(n)]
+                for _ in range(rng.randint(0, 6))]
+        as_fractions = [[Fraction(x) for x in r] for r in rows]
+        assert Subspace.span(rows, n) == Subspace.span(as_fractions, n)
 
 
 def test_span_dependent_set():

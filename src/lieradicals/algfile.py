@@ -19,6 +19,7 @@ axioms, otherwise parsing fails with the offending indices.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .core import LieAlgebra, StructureConstants, ValidationReport
@@ -50,6 +51,15 @@ class InvalidAlgebraError(AlgebraFileError):
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__(report.message)
+
+
+def _numeral(text: str, lineno: int, kind=int):
+    """kind(text); a numeral past Python's int-string digit limit is a ParseError."""
+    try:
+        return kind(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number exceeds the limit of {limit} digits", lineno) from None
 
 
 def parse_algebra(text: str) -> LieAlgebra:
@@ -104,7 +114,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             m = _BRACKET_RE.fullmatch(line)
             if m is None:
                 raise ParseError("malformed bracket line", lineno)
-            i, j = int(m.group(1)), int(m.group(2))
+            i, j = _numeral(m.group(1), lineno), _numeral(m.group(2), lineno)
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ParseError(f"bracket index out of range in [{i},{j}]", lineno)
             key = (min(i, j), max(i, j))
@@ -123,12 +133,12 @@ def parse_algebra(text: str) -> LieAlgebra:
                     if t is None:
                         raise ParseError(f"malformed term {part.strip()!r}", lineno)
                     try:
-                        coeff = Fraction(t.group(1))
+                        coeff = _numeral(t.group(1), lineno, Fraction)
                     except ZeroDivisionError:
                         raise ParseError(
                             f"zero denominator in {part.strip()!r}", lineno
                         ) from None
-                    k = int(t.group(2))
+                    k = _numeral(t.group(2), lineno)
                     if not (1 <= k <= dim):
                         raise ParseError(f"basis index e{k} out of range", lineno)
                     vec[k - 1] += coeff

@@ -1,7 +1,8 @@
 """Command line interface: analyze, verify, catalog.
 
-Exit codes: 0 success, 1 invalid algebra (axioms fail), 2 parse/usage error,
-3 structure-law violation (which would mean a bug in this package).
+Exit codes: 0 success, 1 invalid algebra (axioms fail), 2 parse/usage error or
+a result too long to print, 3 structure-law violation (which would mean a bug
+in this package).
 """
 
 from __future__ import annotations
@@ -101,21 +102,18 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _print_series(name: str, rep: SeriesReport, labels: Sequence[str]) -> None:
-    print(f"{name} (stabilizes at index {rep.stabilization_index}):")
-    for k, term in enumerate(rep.chain):
-        print(f"  term {k}  dim {term.dim}  basis: {_format_subspace(term, labels)}")
-
-
-def _print_profile(L: LieAlgebra, prof: ProfileReport) -> None:
+def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:
     labels = L.labels
-    print(f"dim {L.dim}")
-    print("basis " + " ".join(labels))
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in prof.flags().items())
-    print(f"flags: {flags}")
-    _print_series("derived series", prof.derived, labels)
-    _print_series("lower central series", prof.lower_central, labels)
-    _print_series("upper central series", prof.upper_central, labels)
+    lines = [f"dim {L.dim}", "basis " + " ".join(labels), f"flags: {flags}"]
+    for name, rep in (
+        ("derived series", prof.derived),
+        ("lower central series", prof.lower_central),
+        ("upper central series", prof.upper_central),
+    ):
+        lines.append(f"{name} (stabilizes at index {rep.stabilization_index}):")
+        lines += (f"  term {k}  dim {term.dim}  basis: {_format_subspace(term, labels)}"
+                  for k, term in enumerate(rep.chain))
     for name, sub in (
         ("perfect_radical", prof.perfect_radical),
         ("near_perfect_radical", prof.near_perfect_radical),
@@ -123,7 +121,8 @@ def _print_profile(L: LieAlgebra, prof: ProfileReport) -> None:
         ("center", prof.center),
         ("smallest_upper_bounded", prof.smallest_upper_bounded),
     ):
-        print(f"{name:<24} dim {sub.dim}  basis: {_format_subspace(sub, labels)}")
+        lines.append(f"{name:<24} dim {sub.dim}  basis: {_format_subspace(sub, labels)}")
+    return "\n".join(lines) + "\n"
 
 
 # -- commands -------------------------------------------------------------------
@@ -151,10 +150,14 @@ def cmd_analyze(path: str, as_json: bool) -> int:
     if isinstance(loaded, int):
         return loaded
     prof = profile(loaded)
-    if as_json:
-        sys.stdout.write(_dump_json(profile_json(loaded, prof)))
-    else:
-        _print_profile(loaded, prof)
+    try:
+        text = (_dump_json(profile_json(loaded, prof)) if as_json
+                else _profile_text(loaded, prof))
+    except ValueError:  # str() of an int past Python's int-string digit limit
+        print("error: cannot print the result: a coefficient has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return EXIT_PARSE
+    sys.stdout.write(text)
     return EXIT_OK
 
 

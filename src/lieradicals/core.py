@@ -297,14 +297,15 @@ class LieAlgebra:
         return self.bracket_spaces(self.full_space(), s).leq(s)
 
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:
-        """Smallest ideal containing the vectors: iterate s <- s + [L, s]."""
-        s = Subspace.span(vectors, self.dim)
+        """Smallest ideal containing the vectors: iterate s <- s + [L, new], where
+        `new`, the rows of s at new pivots, spans what the last round added."""
+        s = new = Subspace.span(vectors, self.dim)
         full = self.full_space()
-        while True:
-            t = s.sum(self.bracket_spaces(full, s))
-            if t == s:
-                return s
-            s = t
+        while not new.is_zero():
+            t = s.sum(self.bracket_spaces(full, new))
+            added = [r for r, p in zip(t.rows(), t.pivots) if p not in s.pivots]
+            s, new = t, Subspace(self.dim, Matrix.from_rows(added, self.dim))
+        return s
 
     # -- adjoint and Killing form -----------------------------------------------
 

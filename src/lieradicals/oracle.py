@@ -14,7 +14,9 @@ Two kinds of cross-examination live here:
   vectors; over the rationals the ideal lattice is infinite, so sampling
   (biased toward small ideals, the interesting ones) is the only general
   strategy.  Canonical ideals (0, L, the radicals, every series term) are
-  thrown into the pool as well.
+  thrown into the pool as well.  The pool is checked and sorted into perfect,
+  near perfect and upper bounded ideals once; then each entry of the table
+  `CHECKS`, one small function per law, reads that context in turn.
 
 A "holds" status means no sampled counterexample exists; sampling is heuristic
 by nature, which the report header states.  A "violated" status always means a
@@ -33,8 +35,13 @@ from . import catalog as _catalog
 from .core import LieAlgebra
 from .linalg import Matrix, vadd, vscale
 from .series import (
+    ProfileReport,
     SeriesKind,
     SeriesReport,
+    _is_near_perfect_ideal,
+    _is_perfect_ideal,
+    _is_upper_bounded_ideal,
+    _require_ideal,
     is_near_perfect_ideal,
     is_nilpotent,
     is_perfect,
@@ -42,6 +49,7 @@ from .series import (
     is_solvable,
     is_upper_bounded_ideal,
     iterate_series,
+    near_perfect_radical,
     profile,
     radical,
 )
@@ -50,23 +58,6 @@ from .subspace import Subspace, sort_key
 HOLDS = "holds"
 VACUOUS = "vacuous"
 VIOLATED = "violated"
-
-#: Check identifiers, in report order.
-PROPOSITION_IDS = (
-    "P2.1",   # sums of perfect ideals are perfect ideals
-    "P2.2",   # solvable <=> perfect radical is zero (nonzero algebras)
-    "P2.4",   # perfect ideal with perfect quotient forces a perfect algebra
-    "P2.5",   # the quotient by the perfect radical is solvable
-    "P3.1",   # sums of near perfect ideals are near perfect ideals
-    "P3.2",   # nilpotent <=> near perfect radical is zero (nonzero algebras)
-    "P3.4",   # preimages of near perfect ideals of a quotient are near perfect
-    "P3.5",   # the quotient by the near perfect radical is nilpotent
-    "P4.1",   # intersections of upper bounded ideals are upper bounded
-    "P4.2",   # the stabilized upper central term is the smallest upper bounded ideal
-    "T4.3",   # a nonzero nilpotent algebra has exactly one upper bounded ideal
-    "T2.6c",  # the radical of the perfect radical is R(L) ∩ P(L) and nilpotent
-    "E2.2",   # [L, R(L)] stays inside R(L) and is nilpotent
-)
 
 SAMPLING_NOTE = (
     "random-ideal sampling is heuristic: 'holds' records that no sampled "
@@ -239,274 +230,216 @@ def naive_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
 # -- theorem verification -----------------------------------------------------------
 
 
-def _basis_strings(s: Subspace) -> str:
+@dataclass(frozen=True)
+class _Context:
+    """What every check reads: the algebra, its profile, the one rng, and the
+    sampled ideals that are perfect, near perfect and upper bounded."""
+
+    L: LieAlgebra
+    prof: ProfileReport
+    rng: random.Random
+    perfect: tuple[Subspace, ...]
+    near_perfect: tuple[Subspace, ...]
+    upper_bounded: tuple[Subspace, ...]
+
+
+def _basis_strings(s: Subspace | None) -> str:
+    if s is None:
+        return "(none)"
     return "; ".join(
         "(" + ", ".join(str(x) for x in row) + ")" for row in s.rows()
     ) or "(zero)"
 
 
-def _witness(**kv: str) -> tuple[tuple[str, str], ...]:
-    return tuple(kv.items())
+def _bad(detail: str, **subspaces: Subspace | None) -> tuple:
+    """A violated result, witnessed by the basis of each named subspace."""
+    return VIOLATED, detail, tuple((k, _basis_strings(s)) for k, s in subspaces.items())
+
+
+def _flag_iff_zero(ctx: _Context, flag: str, name: str) -> tuple:
+    """On a nonzero algebra, the profile flag `flag` holds iff the radical `name` is 0."""
+    if ctx.L.dim == 0:
+        return VACUOUS, "zero algebra"
+    value, rad = getattr(ctx.prof, flag), getattr(ctx.prof, name)
+    text = f"{name.replace('_', ' ')} dim {rad.dim}"
+    if value == rad.is_zero():
+        return HOLDS, f"{flag}={value}, {text}"
+    return _bad(f"{flag}={value} but {text}", **{name: rad})
+
+
+def _quotient_is(ctx: _Context, pred, name: str, failure: str) -> tuple:
+    """L / (the radical `name`) satisfies `pred`."""
+    rad = getattr(ctx.prof, name)
+    q, _ = ctx.L.quotient(rad)
+    return (HOLDS, f"quotient dim {q.dim}") if pred(q) else _bad(failure, **{name: rad})
+
+
+def _pairwise(ctx: _Context, ideals, empty: str, combine, keeps, noun: str, failure: str):
+    """`keeps` holds for `combine` of every pair of `ideals`; vacuous, saying
+    `empty`, with fewer than two.  0 is perfect and near perfect, so for those
+    classes fewer than two means no nonzero one."""
+    if len(ideals) < 2:
+        return VACUOUS, empty
+    pairs = list(combinations(ideals, 2))
+    for a, b in pairs:
+        if not keeps(ctx.L, c := combine(a, b)):
+            return _bad(failure, ideal_a=a, ideal_b=b, **{noun: c})
+    return HOLDS, f"{len(pairs)} pair(s) checked"
+
+
+def _p21(ctx: _Context) -> tuple:
+    return _pairwise(ctx, ctx.perfect, "no nonzero perfect ideal sampled", Subspace.sum,
+                     is_perfect_ideal, "sum", "sum of two sampled perfect ideals is not perfect")
+
+
+def _p22(ctx: _Context) -> tuple:
+    return _flag_iff_zero(ctx, "solvable", "perfect_radical")
+
+
+def _p24(ctx: _Context) -> tuple:
+    fired = [i for i in ctx.perfect if is_perfect(ctx.L.quotient(i)[0])]
+    if not fired:
+        return VACUOUS, "no sampled perfect ideal has a perfect quotient"
+    if ctx.prof.perfect:
+        return HOLDS, f"{len(fired)} instance(s) checked"
+    return _bad("perfect ideal with perfect quotient on a non-perfect algebra", ideal=fired[0])
+
+
+def _p25(ctx: _Context) -> tuple:
+    return _quotient_is(ctx, is_solvable, "perfect_radical",
+                        "quotient by the perfect radical is not solvable")
+
+
+def _p31(ctx: _Context) -> tuple:
+    return _pairwise(ctx, ctx.near_perfect, "no nonzero near perfect ideal sampled",
+                     Subspace.sum, is_near_perfect_ideal, "sum",
+                     "sum of two sampled near perfect ideals is not near perfect")
+
+
+def _p32(ctx: _Context) -> tuple:
+    return _flag_iff_zero(ctx, "nilpotent", "near_perfect_radical")
+
+
+def _p34(ctx: _Context) -> tuple:
+    # For each near perfect I, lift 0, NP(L/I) and the near perfect ones of
+    # three random ideals of L/I (ideals by construction, so left unchecked).
+    L = ctx.L
+    instances = nontrivial = 0
+    for i in ctx.near_perfect:
+        q, _ = L.quotient(i)
+        candidates = {q.zero_space(), near_perfect_radical(q)}
+        for _ in range(3):
+            h = random_ideal(q, ctx.rng.randrange(2**32))
+            if _is_near_perfect_ideal(q, h):
+                candidates.add(h)
+        for h in sorted(candidates, key=sort_key):
+            j = _preimage(L, i, h)
+            instances += 1
+            nontrivial += i.dim > 0 or h.dim > 0
+            if not is_near_perfect_ideal(L, j):
+                return _bad("preimage of a near perfect quotient ideal is not near perfect",
+                            ideal=i, quotient_ideal=h, preimage=j)
+    if nontrivial == 0:
+        return VACUOUS, "only trivial quotient ideals arose"
+    return HOLDS, f"{instances} preimage(s) checked"
+
+
+def _p35(ctx: _Context) -> tuple:
+    return _quotient_is(ctx, is_nilpotent, "near_perfect_radical",
+                        "quotient by the near perfect radical is not nilpotent")
+
+
+def _p41(ctx: _Context) -> tuple:
+    return _pairwise(ctx, ctx.upper_bounded, "fewer than two upper bounded ideals sampled",
+                     Subspace.intersect, is_upper_bounded_ideal, "intersection",
+                     "intersection of two sampled upper bounded ideals is not upper bounded")
+
+
+def _p42(ctx: _Context) -> tuple:
+    u = ctx.prof.smallest_upper_bounded
+    bad = next((i for i in ctx.upper_bounded if not u.leq(i)), None)
+    if bad is None:
+        return HOLDS, f"{len(ctx.upper_bounded)} upper bounded ideal(s) checked"
+    return _bad("an upper bounded ideal fails to contain the stabilized upper central term",
+                smallest=u, ideal=bad)
+
+
+def _t43(ctx: _Context) -> tuple:
+    if ctx.L.dim == 0 or not ctx.prof.nilpotent:
+        return VACUOUS, "algebra is zero or not nilpotent"
+    u = ctx.prof.smallest_upper_bounded
+    bad = next((i for i in ctx.upper_bounded if not i.is_full()), None)
+    if bad is None and u.is_full():
+        return HOLDS, f"all {len(ctx.upper_bounded)} upper bounded ideal(s) equal L"
+    return _bad("nilpotent algebra admits an upper bounded ideal other than itself",
+                ideal=bad, smallest=u)
+
+
+def _t26c(ctx: _Context) -> tuple:
+    L, p = ctx.L, ctx.prof.perfect_radical
+    rad_p = Subspace.span([L.embed(p, r) for r in radical(L.restrict(p)).rows()], L.dim)
+    meet = ctx.prof.radical.intersect(p)
+    if rad_p == meet and is_nilpotent(L.restrict(meet)):
+        return HOLDS, f"P dim {p.dim}, R∩P dim {meet.dim}"
+    return _bad("radical of the perfect radical disagrees with R(L) ∩ P(L) or is not nilpotent",
+                perfect_radical=p, radical_of_p=rad_p, meet=meet)
+
+
+def _e22(ctx: _Context) -> tuple:
+    L, r = ctx.L, ctx.prof.radical
+    j = L.bracket_spaces(L.full_space(), r)
+    if j.leq(r) and is_nilpotent(L.restrict(j)):
+        return HOLDS, f"[L, R] dim {j.dim} inside R dim {r.dim}"
+    return _bad("[L, R(L)] escapes R(L) or is not nilpotent", bracket=j, radical=r)
+
+
+#: The structure-law checks in report order.  Each reads a `_Context` and
+#: returns (status, detail[, witness]).  The predicates they call are looked
+#: up when they run, so a test can monkeypatch one to exercise a violation.
+CHECKS = (
+    ("P2.1", _p21),    # sums of perfect ideals are perfect ideals
+    ("P2.2", _p22),    # solvable <=> perfect radical is zero (nonzero algebras)
+    ("P2.4", _p24),    # perfect ideal with perfect quotient forces a perfect algebra
+    ("P2.5", _p25),    # the quotient by the perfect radical is solvable
+    ("P3.1", _p31),    # sums of near perfect ideals are near perfect ideals
+    ("P3.2", _p32),    # nilpotent <=> near perfect radical is zero (nonzero algebras)
+    ("P3.4", _p34),    # preimages of near perfect ideals of a quotient are near perfect
+    ("P3.5", _p35),    # the quotient by the near perfect radical is nilpotent
+    ("P4.1", _p41),    # intersections of upper bounded ideals are upper bounded
+    ("P4.2", _p42),    # the stabilized upper central term is the smallest upper bounded ideal
+    ("T4.3", _t43),    # a nonzero nilpotent algebra has exactly one upper bounded ideal
+    ("T2.6c", _t26c),  # the radical of the perfect radical is R(L) ∩ P(L) and nilpotent
+    ("E2.2", _e22),    # [L, R(L)] stays inside R(L) and is nilpotent
+)
+
+#: Check identifiers, in report order.
+PROPOSITION_IDS = tuple(pid for pid, _ in CHECKS)
 
 
 def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremReport:
-    """Run every built-in structure-law check against `samples` random ideals.
+    """Run every check in `CHECKS` against `samples` random ideals.
 
-    Pure for fixed (L, samples, seed); the input algebra is never mutated.
+    Each pool member is checked to be an ideal once, then classified.  Pure
+    for fixed (L, samples, seed); the input algebra is never mutated.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     prof = profile(L)
-    full = L.full_space()
-    zero = L.zero_space()
-
     pool = {random_ideal(L, rng.randrange(2**32)) for _ in range(samples)}
-    pool.update(
-        (
-            zero,
-            full,
-            prof.perfect_radical,
-            prof.near_perfect_radical,
-            prof.radical,
-            prof.center,
-            prof.smallest_upper_bounded,
-        )
-    )
-    pool.update(prof.derived.terms)
-    pool.update(prof.lower_central.terms)
-    pool.update(prof.upper_central.terms)
+    pool.update((
+        L.zero_space(), L.full_space(), prof.perfect_radical, prof.near_perfect_radical,
+        prof.radical, prof.center, prof.smallest_upper_bounded,
+        *prof.derived.terms, *prof.lower_central.terms, *prof.upper_central.terms,
+    ))
     ideals = sorted(pool, key=sort_key)
-
-    perfect_ideals = [i for i in ideals if is_perfect_ideal(L, i)]
-    near_perfect_ideals = [i for i in ideals if is_near_perfect_ideal(L, i)]
-    upper_bounded_ideals = [i for i in ideals if is_upper_bounded_ideal(L, i)]
-
-    checks: list[PropositionCheck] = []
-
-    def hold(pid: str, detail: str = "") -> None:
-        checks.append(PropositionCheck(pid, HOLDS, detail))
-
-    def vacuous(pid: str, detail: str = "") -> None:
-        checks.append(PropositionCheck(pid, VACUOUS, detail))
-
-    def violated(pid: str, detail: str, witness) -> None:
-        checks.append(PropositionCheck(pid, VIOLATED, detail, witness))
-
-    def flag_iff_zero(pid: str, flag: str, value: bool, name: str) -> None:
-        """On a nonzero algebra, `flag` holds iff the radical `name` is 0."""
-        if L.dim == 0:
-            return vacuous(pid, "zero algebra")
-        rad = getattr(prof, name)
-        text = f"{name.replace('_', ' ')} dim {rad.dim}"
-        if value == rad.is_zero():
-            hold(pid, f"{flag}={value}, {text}")
-        else:
-            witness = _witness(**{name: _basis_strings(rad)})
-            violated(pid, f"{flag}={value} but {text}", witness)
-
-    def quotient_is(pid: str, pred, name: str, failure: str) -> None:
-        """L / (the radical `name`) satisfies `pred`."""
-        rad = getattr(prof, name)
-        q, _ = L.quotient(rad)
-        if pred(q):
-            hold(pid, f"quotient dim {q.dim}")
-        else:
-            violated(pid, failure, _witness(**{name: _basis_strings(rad)}))
-
-    def pairwise(pid, ideals, empty, combine, keeps, noun, failure) -> None:
-        """`keeps` holds for `combine` of every pair, unless `empty` says why not."""
-        if empty:
-            return vacuous(pid, empty)
-        pairs = list(combinations(ideals, 2))
-        bad = next(
-            ((a, b, c) for a, b in pairs if not keeps(L, c := combine(a, b))), None
-        )
-        if bad is None:
-            hold(pid, f"{len(pairs)} pair(s) checked")
-        else:
-            violated(pid, failure, _witness(
-                ideal_a=_basis_strings(bad[0]),
-                ideal_b=_basis_strings(bad[1]),
-                **{noun: _basis_strings(bad[2])},
-            ))
-
-    # P2.1 -- sums of perfect ideals stay perfect.
-    pairwise(
-        "P2.1",
-        perfect_ideals,
-        all(i.is_zero() for i in perfect_ideals) and "no nonzero perfect ideal sampled",
-        Subspace.sum,
-        is_perfect_ideal,
-        "sum",
-        "sum of two sampled perfect ideals is not perfect",
+    for i in ideals:
+        _require_ideal(L, i)
+    ctx = _Context(
+        L, prof, rng,
+        perfect=tuple(i for i in ideals if _is_perfect_ideal(L, i)),
+        near_perfect=tuple(i for i in ideals if _is_near_perfect_ideal(L, i)),
+        upper_bounded=tuple(i for i in ideals if _is_upper_bounded_ideal(L, i)),
     )
-
-    # P2.2 -- solvable <=> P(L) = 0, for nonzero algebras.
-    flag_iff_zero("P2.2", "solvable", prof.solvable, "perfect_radical")
-
-    # P2.4 -- a perfect ideal with a perfect quotient forces a perfect algebra.
-    fired = []
-    for i in perfect_ideals:
-        q, _ = L.quotient(i)
-        if is_perfect(q):
-            fired.append(i)
-    if not fired:
-        vacuous("P2.4", "no sampled perfect ideal has a perfect quotient")
-    elif prof.perfect:
-        hold("P2.4", f"{len(fired)} instance(s) checked")
-    else:
-        violated(
-            "P2.4",
-            "perfect ideal with perfect quotient on a non-perfect algebra",
-            _witness(ideal=_basis_strings(fired[0])),
-        )
-
-    # P2.5 -- L / P(L) is solvable.
-    quotient_is(
-        "P2.5", is_solvable, "perfect_radical",
-        "quotient by the perfect radical is not solvable",
-    )
-
-    # P3.1 -- sums of near perfect ideals stay near perfect.
-    pairwise(
-        "P3.1",
-        near_perfect_ideals,
-        all(i.is_zero() for i in near_perfect_ideals)
-        and "no nonzero near perfect ideal sampled",
-        Subspace.sum,
-        is_near_perfect_ideal,
-        "sum",
-        "sum of two sampled near perfect ideals is not near perfect",
-    )
-
-    # P3.2 -- nilpotent <=> NP(L) = 0, for nonzero algebras.
-    flag_iff_zero("P3.2", "nilpotent", prof.nilpotent, "near_perfect_radical")
-
-    # P3.4 -- preimages of near perfect ideals of L/I are near perfect in L.
-    instances = 0
-    nontrivial = 0
-    bad = None
-    for i in near_perfect_ideals:
-        q, _ = L.quotient(i)
-        candidates = {q.zero_space()}
-        candidates.add(profile(q).near_perfect_radical)
-        for k in range(3):
-            h = random_ideal(q, rng.randrange(2**32))
-            if is_near_perfect_ideal(q, h):
-                candidates.add(h)
-        for h in sorted(candidates, key=sort_key):
-            j = _preimage(L, i, h)
-            instances += 1
-            if i.dim > 0 or h.dim > 0:
-                nontrivial += 1
-            if not is_near_perfect_ideal(L, j):
-                bad = (i, h, j)
-                break
-        if bad:
-            break
-    if bad is not None:
-        violated(
-            "P3.4",
-            "preimage of a near perfect quotient ideal is not near perfect",
-            _witness(
-                ideal=_basis_strings(bad[0]),
-                quotient_ideal=_basis_strings(bad[1]),
-                preimage=_basis_strings(bad[2]),
-            ),
-        )
-    elif nontrivial == 0:
-        vacuous("P3.4", "only trivial quotient ideals arose")
-    else:
-        hold("P3.4", f"{instances} preimage(s) checked")
-
-    # P3.5 -- L / NP(L) is nilpotent.
-    quotient_is(
-        "P3.5", is_nilpotent, "near_perfect_radical",
-        "quotient by the near perfect radical is not nilpotent",
-    )
-
-    # P4.1 -- intersections of upper bounded ideals stay upper bounded.
-    pairwise(
-        "P4.1",
-        upper_bounded_ideals,
-        len(upper_bounded_ideals) < 2 and "fewer than two upper bounded ideals sampled",
-        Subspace.intersect,
-        is_upper_bounded_ideal,
-        "intersection",
-        "intersection of two sampled upper bounded ideals is not upper bounded",
-    )
-
-    # P4.2 -- the stabilized upper central term is below every upper bounded ideal.
-    u = prof.smallest_upper_bounded
-    bad = next((i for i in upper_bounded_ideals if not u.leq(i)), None)
-    if bad is None:
-        hold("P4.2", f"{len(upper_bounded_ideals)} upper bounded ideal(s) checked")
-    else:
-        violated(
-            "P4.2",
-            "an upper bounded ideal fails to contain the stabilized upper central term",
-            _witness(
-                smallest=_basis_strings(u), ideal=_basis_strings(bad)
-            ),
-        )
-
-    # T4.3 -- a nonzero nilpotent algebra has exactly one upper bounded ideal.
-    if L.dim == 0 or not prof.nilpotent:
-        vacuous("T4.3", "algebra is zero or not nilpotent")
-    else:
-        bad = next((i for i in upper_bounded_ideals if not i.is_full()), None)
-        if bad is None and u.is_full():
-            hold("T4.3", f"all {len(upper_bounded_ideals)} upper bounded ideal(s) equal L")
-        else:
-            violated(
-                "T4.3",
-                "nilpotent algebra admits an upper bounded ideal other than itself",
-                _witness(
-                    ideal=_basis_strings(bad) if bad is not None else "(none)",
-                    smallest=_basis_strings(u),
-                ),
-            )
-
-    # T2.6c -- radical(P(L)) equals R(L) ∩ P(L) and is nilpotent.
-    p = prof.perfect_radical
-    restr = L.restrict(p)
-    rad_local = radical(restr)
-    rad_ambient = Subspace.span(
-        [L.embed(p, row) for row in rad_local.rows()], L.dim
-    )
-    meet = prof.radical.intersect(p)
-    if rad_ambient == meet and is_nilpotent(L.restrict(meet)):
-        hold("T2.6c", f"P dim {p.dim}, R∩P dim {meet.dim}")
-    else:
-        violated(
-            "T2.6c",
-            "radical of the perfect radical disagrees with R(L) ∩ P(L) or is not nilpotent",
-            _witness(
-                perfect_radical=_basis_strings(p),
-                radical_of_p=_basis_strings(rad_ambient),
-                meet=_basis_strings(meet),
-            ),
-        )
-
-    # E2.2 -- [L, R(L)] stays inside R(L) and is a nilpotent ideal.
-    j = L.bracket_spaces(full, prof.radical)
-    if j.leq(prof.radical) and is_nilpotent(L.restrict(j)):
-        hold("E2.2", f"[L, R] dim {j.dim} inside R dim {prof.radical.dim}")
-    else:
-        violated(
-            "E2.2",
-            "[L, R(L)] escapes R(L) or is not nilpotent",
-            _witness(
-                bracket=_basis_strings(j), radical=_basis_strings(prof.radical)
-            ),
-        )
-
-    assert tuple(c.prop_id for c in checks) == PROPOSITION_IDS
-    return TheoremReport(
-        dim=L.dim,
-        samples=samples,
-        seed=seed,
-        note=SAMPLING_NOTE,
-        checks=tuple(checks),
-    )
+    checks = tuple(PropositionCheck(pid, *check(ctx)) for pid, check in CHECKS)
+    return TheoremReport(L.dim, samples, seed, SAMPLING_NOTE, checks)

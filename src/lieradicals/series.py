@@ -205,22 +205,35 @@ def _require_ideal(L: LieAlgebra, s: Subspace) -> None:
         raise NotAnIdealError("subspace is not an ideal")
 
 
+# Unchecked forms of the predicates below, for subspaces known to be ideals.
+def _is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    return L.bracket_spaces(s, s) == s
+
+
+def _is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    return L.bracket_spaces(L.full_space(), s) == s
+
+
+def _is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    return _upper_extension(L, s) == s
+
+
 def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [s, s] = s (a perfect Lie algebra in its own right)."""
     _require_ideal(L, s)
-    return L.bracket_spaces(s, s) == s
+    return _is_perfect_ideal(L, s)
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [L, s] = s."""
     _require_ideal(L, s)
-    return L.bracket_spaces(L.full_space(), s) == s
+    return _is_near_perfect_ideal(L, s)
 
 
 def is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with U(s) = s."""
     _require_ideal(L, s)
-    return _upper_extension(L, s) == s
+    return _is_upper_bounded_ideal(L, s)
 
 
 # -- the full profile -------------------------------------------------------------

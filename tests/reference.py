@@ -4,8 +4,8 @@ The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and ar
 built here, apart from the package's own catalog; `rational-<name>` is the
 same algebra in a fixed dense basis whose constants carry denominators.  The
 reference routines are the package's earlier implementations of the RREF,
-the Killing Gram matrix, the upper extension, the axiom check and subspace
-intersection, kept as slow paths that the faster code is compared against
+the Killing Gram matrix, the upper extension, the axiom check, subspace
+intersection and the ideal closure, kept as slow paths that the faster code is compared against
 entry by entry.
 """
 
@@ -213,6 +213,16 @@ def dense_killing(L: LieAlgebra) -> Matrix:
             ents[i][j] = t
             ents[j][i] = t
     return Matrix.from_rows(ents, n)
+
+
+def naive_ideal_closure(L: LieAlgebra, vectors) -> Subspace:
+    """Ideal closure by s <- s + [L, s] over all of s, until s stops growing."""
+    s = Subspace.span(vectors, L.dim)
+    while True:
+        t = s.sum(L.bracket_spaces(L.full_space(), s))
+        if t == s:
+            return s
+        s = t
 
 
 def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,25 @@ def test_dim_above_the_limit_is_a_parse_error(value):
         parse_algebra(f"# big\ndim {value}\n")
     assert err.value.line == 2
     assert f"limit of {MAX_DIM}" in str(err.value)
+
+
+@pytest.mark.parametrize("line", [
+    "[1,2] = " + "1" * 5000 + "*e1",
+    "[1,2] = 1/" + "7" * 5000 + "*e1",
+    "[1,2] = 1*e" + "1" * 5000,
+    "[" + "1" * 5000 + ",2] = 1*e1",
+], ids=["coefficient", "denominator", "basis-index", "bracket-index"])
+def test_number_past_the_int_string_limit_is_a_parse_error(line):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"dim 2\n{line}\n")
+    assert err.value.line == 2
+    assert f"limit of {sys.get_int_max_str_digits()} digits" in str(err.value)
+
+
+def test_number_under_the_int_string_limit_parses():
+    big = 10 ** 4000 + 1
+    L = parse_algebra(f"dim 2\n[1,2] = {big}*e1\n")
+    assert L.constants.bracket_basis(0, 1) == (big, 0)
 
 
 def test_dim_at_the_limit_parses():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import lieradicals
 import lieradicals.cli as cli
 from lieradicals import catalog
+from lieradicals.algfile import parse_algebra
 from lieradicals.cli import main
 from lieradicals.oracle import PROPOSITION_IDS, PropositionCheck, TheoremReport
 
@@ -130,6 +132,48 @@ def test_dim_above_the_limit_exit_2(tmp_path, command, capsys):
     p.write_text("dim 99999999999\n")
     assert main([command, str(p)]) == 2
     assert capsys.readouterr().err == "error: line 1: dim exceeds the limit of 256\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_number_past_the_int_string_limit_exit_2(tmp_path, command, capsys):
+    p = tmp_path / "digits.alg"
+    p.write_text("dim 2\n[1,2] = " + "1" * 5000 + "*e1\n")
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: line 2: number exceeds the limit of {limit} digits\n"
+
+
+def _huge_rref_file(tmp_path) -> Path:
+    """A valid dim-4 algebra whose derived algebra has RREF entries of ~6,000
+    digits: [e4, e1] and [e4, e2] are random 3,000-digit combinations of e1-e3."""
+    rng = random.Random(4300)
+    lines = ["dim 4"]
+    for i in (1, 2):
+        terms = " + ".join(f"{rng.randrange(10**2999, 10**3000)}*e{k}" for k in (1, 2, 3))
+        lines.append(f"[4,{i}] = {terms}")
+    p = tmp_path / "huge-rref.alg"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_analyze_refuses_a_result_past_the_int_string_limit(tmp_path, as_json, capsys):
+    p = _huge_rref_file(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    L = parse_algebra(p.read_text())  # every numeral is within the limit
+    derived = L.bracket_spaces(L.full_space(), L.full_space())
+    assert max(x.numerator.bit_length() for x in derived.basis.entries) * 0.30103 > limit
+    assert main(["analyze", str(p), *(["--json"] if as_json else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot print the result: a coefficient has more than {limit} digits\n"
+    )
+    assert sys.get_int_max_str_digits() == limit  # the limit stays in force
+    # The refusal is about printing: verify reports no coefficient and passes.
+    assert main(["verify", str(p), "--samples", "3"]) == 0
 
 
 def test_verify_good_file(good_file, capsys):

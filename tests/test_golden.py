@@ -2,9 +2,12 @@
 
 Each file under `tests/golden/` holds the exact stdout of one command:
 `analyze --json` on every catalog entry and on the matrix-unit algebras in
-`ANALYZE_FAMILIES`, some of them in a dense rational basis, and `verify --json --samples 50 --seed 0` on every
-catalog entry.  Any change to a computed subspace, flag, witness or to the
-rendering shows up here as a diff.  To rewrite the files after an intended
+`ANALYZE_FAMILIES`, some of them in a dense rational basis,
+`verify --json --samples 50 --seed 0` on every catalog entry, and
+`verify --json --samples 10 --seed 0` on the larger algebras in
+`VERIFY_FAMILIES`, where P3.4, T2.6c and E2.2 have real work to do.  Any
+change to a computed subspace, flag, witness or to the rendering shows up
+here as a diff.  To rewrite the files after an intended
 output change, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -25,7 +28,9 @@ import reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4", *reference.RATIONAL)
+VERIFY_FAMILIES = ("b4", "n5", "gl4", "rational-b3")
 VERIFY_ARGS = ("--json", "--samples", "50", "--seed", "0")
+VERIFY_FAMILY_ARGS = ("--json", "--samples", "10", "--seed", "0")
 
 
 def _cases() -> list[tuple[str, str, str]]:
@@ -33,6 +38,7 @@ def _cases() -> list[tuple[str, str, str]]:
     cases = [(f"analyze-{n}", "analyze", n) for n in catalog.names()]
     cases += [(f"analyze-{n}", "analyze", n) for n in ANALYZE_FAMILIES]
     cases += [(f"verify-{n}", "verify", n) for n in catalog.names()]
+    cases += [(f"verify-{n}", "verify", n) for n in VERIFY_FAMILIES]
     return cases
 
 
@@ -46,7 +52,12 @@ def _algebra_text(source: str) -> str:
 def run_case(command: str, source: str, workdir: Path) -> str:
     path = workdir / f"{source}.alg"
     path.write_text(_algebra_text(source))
-    args = ["--json"] if command == "analyze" else list(VERIFY_ARGS)
+    if command == "analyze":
+        args = ["--json"]
+    elif source in VERIFY_FAMILIES:
+        args = list(VERIFY_FAMILY_ARGS)
+    else:
+        args = list(VERIFY_ARGS)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([command, str(path), *args])

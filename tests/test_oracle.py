@@ -1,9 +1,14 @@
+import dataclasses
+import json
 import random
 
 import pytest
 
 import lieradicals.oracle as oracle
-from lieradicals import catalog
+from lieradicals import catalog, series
+from lieradicals.algfile import render_algebra
+from lieradicals.cli import main
+from lieradicals.core import NotAnIdealError
 from lieradicals.oracle import (
     PROPOSITION_IDS,
     naive_series,
@@ -183,3 +188,74 @@ def test_violation_machinery_produces_witness(monkeypatch, s32):
     assert p25.witness is not None
     assert p25.witness_dict() is not None
     assert not report.ok
+
+
+# -- one mutation per check ------------------------------------------------------
+
+
+def _never(*args):
+    return False
+
+
+def _profile_with(change):
+    """A profile() giving the real report with the fields `change(L, prof)` returns."""
+
+    def fake(L):
+        prof = series.profile(L)
+        return dataclasses.replace(prof, **change(L, prof))
+
+    return fake
+
+
+# id -> (catalog algebra, oracle attribute, replacement): breaking that one
+# predicate, or the profile the check reads, must turn the check violated.
+MUTATIONS = {
+    "P2.1": ("sl2", "is_perfect_ideal", _never),
+    "P2.2": ("s3_2", "profile", _profile_with(lambda L, p: {"solvable": not p.solvable})),
+    "P2.4": ("s3_2", "is_perfect", lambda L: True),
+    "P2.5": ("s3_2", "is_solvable", _never),
+    "P3.1": ("sl2", "is_near_perfect_ideal", _never),
+    "P3.2": ("s3_2", "profile", _profile_with(lambda L, p: {"nilpotent": not p.nilpotent})),
+    "P3.4": ("s3_2", "is_near_perfect_ideal", _never),
+    "P3.5": ("s3_2", "is_nilpotent", _never),
+    "P4.1": ("sl2", "is_upper_bounded_ideal", _never),
+    "P4.2": ("sl2", "profile",
+             _profile_with(lambda L, p: {"smallest_upper_bounded": L.full_space()})),
+    "T4.3": ("heis3", "profile",
+             _profile_with(lambda L, p: {"smallest_upper_bounded": L.zero_space()})),
+    "T2.6c": ("sl2", "radical", lambda L: L.full_space()),
+    "E2.2": ("s3_2", "is_nilpotent", _never),
+}
+
+
+def _status(report, pid):
+    return next(c for c in report.checks if c.prop_id == pid)
+
+
+@pytest.mark.parametrize("pid", [pid for pid, _ in oracle.CHECKS])
+def test_one_mutation_turns_each_check_violated(pid, monkeypatch, tmp_path, capsys):
+    name, attr, fake = MUTATIONS[pid]
+    L = catalog.get(name).algebra
+    assert _status(verify_theorems(L, samples=10, seed=2), pid).status != "violated"
+    monkeypatch.setattr(oracle, attr, fake)
+    check = _status(verify_theorems(L, samples=10, seed=2), pid)
+    assert check.status == "violated"
+    assert check.witness and all(value for _, value in check.witness)
+    # The same mutation seen through `lieradicals verify`: exit 3, witness in the JSON.
+    path = tmp_path / f"{name}.alg"
+    path.write_text(render_algebra(L))
+    assert main(["verify", str(path), "--json", "--samples", "10", "--seed", "2"]) == 3
+    result = next(r for r in json.loads(capsys.readouterr().out)["results"] if r["id"] == pid)
+    assert result["status"] == "violated"
+    assert result["witness"] == check.witness_dict()
+
+
+def test_checks_table_gives_the_ids():
+    assert PROPOSITION_IDS == tuple(pid for pid, _ in oracle.CHECKS)
+    assert len(set(PROPOSITION_IDS)) == len(PROPOSITION_IDS) == len(MUTATIONS)
+
+
+def test_a_pool_member_that_is_no_ideal_raises(monkeypatch, s32):
+    monkeypatch.setattr(oracle, "random_ideal", lambda L, seed: span(3, (0, 0, 1)))
+    with pytest.raises(NotAnIdealError):
+        verify_theorems(s32, samples=3, seed=0)

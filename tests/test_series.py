@@ -248,6 +248,10 @@ def test_zero_ideal_predicates(s32, heis3):
 def test_ideal_predicates_require_ideal(s32):
     with pytest.raises(NotAnIdealError):
         is_perfect_ideal(s32, span(3, (0, 0, 1)))
+    with pytest.raises(NotAnIdealError):
+        is_near_perfect_ideal(s32, span(3, (0, 0, 1)))
+    with pytest.raises(NotAnIdealError):
+        is_upper_bounded_ideal(s32, span(3, (0, 0, 1)))
 
 
 # -- profile-level laws ------------------------------------------------------------------------

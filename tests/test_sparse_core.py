@@ -9,6 +9,9 @@ and abelian algebras.  `LieAlgebra.validate`, which skips the Jacobi triples
 that touch no nonzero bracket and works on the constants scaled to integers,
 is compared with the check over every pair and triple on random raw tables,
 most of them invalid, with integer constants and with denominators.
+`LieAlgebra.ideal_closure`, which brackets L only with what the last round
+added, is compared with `reference.naive_ideal_closure`, which brackets L
+with the whole subspace every round, on random vectors of every input.
 """
 
 from __future__ import annotations
@@ -86,6 +89,15 @@ def test_bracket_and_ad_of_basis_vectors_give_the_constants(name, L):
 def test_upper_extension_matches_dense_stack(name, L):
     for ideal in _ideals(L):
         assert upper_extension(L, ideal) == reference.dense_upper_extension(L, ideal)
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_ideal_closure_matches_naive_iteration(name, L):
+    rng = random.Random(name)
+    for count in (1, 1, 2, 3):
+        vecs = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 3))) for _ in range(L.dim)]
+                for _ in range(count)]
+        assert L.ideal_closure(vecs) == reference.naive_ideal_closure(L, vecs)
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)

@@ -15,8 +15,10 @@ Algorithms*, ch. 1) walk only its nonzero entries, and the upper extension
 in `series` visits only the stored nonzero brackets, so their work grows with
 the number of nonzero structure constants rather than with powers of the
 dimension: an abelian algebra costs next to nothing at any size.  Scaling by D
-keeps antisymmetry, Jacobi and spans, so `validate` and `bracket_spaces` run on
-integers alone; `bracket` and `ad` divide by D once, `_killing` by D².
+keeps antisymmetry, Jacobi, spans and kernels, so `validate`, `bracket_spaces`
+and `killing_orthogonal` (on the Gram rows D²·K) run on integers alone, as do
+the integer rows of `Subspace`; `bracket` and `ad` divide by D once, the
+Killing form by D².
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -34,7 +36,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, integer_row, is_zero_vector, vector, zero_vector
+from .linalg import Matrix, is_zero_vector, vector, zero_vector
 from .subspace import Subspace
 
 
@@ -281,11 +283,10 @@ class LieAlgebra:
         """Span of the pairwise brackets of the two bases: the ideal product."""
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
-        rows = [integer_row(v) for v in b.rows()]
         vecs = []
-        for u in a.rows():
-            xs = _support(integer_row(u))
-            for v in rows:
+        for u in a.int_rows:
+            xs = _support(u)
+            for v in b.int_rows:
                 w = self._bracket(xs, v)
                 # Zero brackets do not change the span, so they skip elimination.
                 if any(w):
@@ -303,8 +304,8 @@ class LieAlgebra:
         full = self.full_space()
         while not new.is_zero():
             t = s.sum(self.bracket_spaces(full, new))
-            added = [r for r, p in zip(t.rows(), t.pivots) if p not in s.pivots]
-            s, new = t, Subspace(self.dim, Matrix.from_rows(added, self.dim))
+            added = [r for r, p in zip(t.int_rows, t.pivots) if p not in s.pivots]
+            s, new = t, Subspace.span(added, self.dim)
         return s
 
     # -- adjoint and Killing form -----------------------------------------------
@@ -338,12 +339,12 @@ class LieAlgebra:
         return tuple(table)
 
     @cached_property
-    def _killing(self) -> Matrix:
-        """K_ij = sum_{k,l} c^l_ik c^k_jl, summed over the nonzero c^l_ik."""
+    def _killing(self) -> tuple[dict[int, int], ...]:
+        """_killing[i] = {j: D²·K_ij}, the nonzero entries of the scaled Gram
+        matrix, K_ij = sum_{k,l} c^l_ik c^k_jl summed over the nonzero c^l_ik."""
         n = self.dim
         adj = self._adjoint
-        d2 = self._denominator ** 2
-        ents = [[Fraction(0)] * n for _ in range(n)]
+        gram: list[dict[int, int]] = [{} for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 t = 0
@@ -352,27 +353,30 @@ class LieAlgebra:
                         d = adj[j].get(l, {}).get(k)
                         if d:
                             t += c * d
-                ents[i][j] = ents[j][i] = Fraction(t, d2)
-        return Matrix.from_rows(ents, n)
+                if t:
+                    gram[i][j] = gram[j][i] = t
+        return tuple(gram)
 
     def killing_matrix(self) -> Matrix:
         """Gram matrix of the Killing form: K_ij = tr(ad(e_i) ad(e_j))."""
-        return self._killing
+        n, d2 = self.dim, self._denominator ** 2
+        return Matrix(n, n, [Fraction(g.get(j, 0), d2) for g in self._killing for j in range(n)])
 
     def killing_form(self, x: Sequence, y: Sequence) -> Fraction:
-        """K(x, y) = tr(ad(x) ad(y)), evaluated through the cached Gram matrix."""
-        x = vector(x)
-        y = vector(y)
-        ky = self._killing.apply(y)
-        return sum((a * b for a, b in zip(x, ky)), Fraction(0))
+        """K(x, y) = tr(ad(x) ad(y)), evaluated through the scaled Gram matrix."""
+        x, y = vector(x), vector(y)
+        gram = enumerate(self._killing)
+        t = sum((x[i] * c * y[j] for i, g in gram for j, c in g.items()), Fraction(0))
+        return t / self._denominator ** 2
 
     def killing_orthogonal(self, s: Subspace) -> Subspace:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""
         if s.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
-        # K is symmetric, so row y of (basis @ K) is K applied to y.
-        constraints = [self._killing.apply(y) for y in s.rows()]
-        return Subspace(self.dim, Matrix.from_rows(constraints, self.dim).kernel())
+        # K is symmetric, so the constraint of a basis row y is D²·K applied to y.
+        constraints = [[sum(c * y[j] for j, c in g.items()) for g in self._killing]
+                       for y in s.int_rows]
+        return Subspace.span(constraints, self.dim).annihilator()
 
     # -- subalgebras and quotients -----------------------------------------------
 
@@ -402,11 +406,8 @@ class LieAlgebra:
         coords = vector(coords)
         if len(coords) != s.dim:
             raise ValueError("coordinate length disagrees with the subspace dimension")
-        v = [Fraction(0)] * self.dim
-        for c, row in zip(coords, s.rows()):
-            if c:
-                v = [a + c * b for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(sum((c * row[k] for c, row in zip(coords, s.rows())), Fraction(0))
+                     for k in range(self.dim))
 
     def quotient(self, ideal: Subspace) -> tuple["LieAlgebra", Matrix]:
         """Factor algebra by an ideal, plus the linear projection onto it.
@@ -419,14 +420,17 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise NotAnIdealError("quotient requires an ideal")
-        proj = ideal.quotient_projection()
-        pivot_set = set(ideal.pivots)
-        non_pivots = [c for c in range(self.dim) if c not in pivot_set]
-        d = len(non_pivots)
-        table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for a in range(d):
-            for b in range(a + 1, d):
-                w = self.constants.bracket_basis(non_pivots[a], non_pivots[b])
-                table[(a, b)] = proj.apply(w)
+        return self._quotient(ideal), ideal.quotient_projection()
+
+    def _quotient(self, ideal: Subspace) -> "LieAlgebra":
+        """L / ideal for a known ideal: the quotient coordinates of v are the
+        non-pivot ones of `ideal.reduce(v)`, taken of the stored brackets only."""
+        non_pivots = ideal.free_columns()
+        index = {c: a for a, c in enumerate(non_pivots)}
+        table: dict[tuple[int, int], list[Fraction]] = {}
+        for i, j, v in self.constants.pairs():
+            if i in index and j in index:
+                w = ideal.reduce(v)
+                table[(index[i], index[j])] = [w[c] for c in non_pivots]
         labels = tuple(self.labels[c] for c in non_pivots)
-        return LieAlgebra(StructureConstants.from_brackets(d, table), labels), proj
+        return LieAlgebra(StructureConstants.from_brackets(len(non_pivots), table), labels)

@@ -2,11 +2,12 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary-precision, always stored
 reduced with a positive denominator), so every result in this package is exact.
-Matrices are small, dense and immutable; the workhorse is :func:`rref_rows`,
+Matrices are small, dense and immutable; the workhorse is :func:`echelon_rows`,
 behind :meth:`Matrix.rref` and ``Subspace.span``, which everything else
 (kernels, subspace lattices, series computations) is built on.  It scales each
 row to coprime integers (:func:`integer_row`), eliminates fraction-free in
-`_echelon`, and makes Fractions only when dividing each row by its pivot.
+`_echelon`, and returns integer rows: Fractions are made only when a row is
+divided by its pivot entry (:func:`divided`), for output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -50,12 +50,22 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
+def numerators(row: Sequence) -> tuple[list[int], int]:
+    """(u, e) with row = u / e, for e the lcm of the int or Fraction row's denominators."""
+    e = lcm(*(x.denominator for x in row))
+    return [x.numerator * (e // x.denominator) for x in row], e
+
+
 def integer_row(row: Sequence) -> list[int]:
     """Coprime integers on the line of an int or Fraction row (0s for a zero row)."""
-    d = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (d // x.denominator) for x in row]
+    ints, _ = numerators(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
+
+
+def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
+    """The integer row divided by d, as Fractions."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
 def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -63,7 +73,9 @@ def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
 
     Entry f is cleared against pivot p by row <- (p/g)·row − (f/g)·prow with
     g = gcd(p, f), then the row is divided by its gcd.  Returns the echelon rows,
-    each zero at every pivot column but its own, and their pivot columns.
+    each positive at its pivot column and zero at every other one, and their
+    pivot columns.  A pivot row is made positive when it is chosen; later
+    updates multiply it by p/g > 0, so it stays positive.
     """
     pivots: list[int] = []
     for c in range(cols):
@@ -73,6 +85,8 @@ def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
+        if prow[c] < 0:
+            rows[r] = prow = [-x for x in prow]
         p = prow[c]
         for i, row in enumerate(rows):
             if i != r and row[c]:
@@ -85,15 +99,32 @@ def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
     return rows[: len(pivots)], pivots
 
 
-def rref_rows(
-    rows: Iterable[Sequence], cols: int
-) -> tuple[list[tuple[Fraction, ...]], tuple[int, ...]]:
-    """Canonical RREF of the span of int or Fraction rows, and its pivot columns."""
+def echelon_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Canonical integer echelon form of the span of int or Fraction rows.
+
+    Each row is primitive, positive at its pivot column and zero at the other
+    pivot columns, so divided by its pivot entry it is the RREF row: the rows
+    and pivots depend on the row space alone.
+    """
     red, pivots = _echelon([r for r in map(integer_row, rows) if any(r)], cols)
+    return red, tuple(pivots)
+
+
+def kernel_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> list:
+    """Integer vectors spanning {x : row·x = 0 for every row}, for echelon rows.
+
+    One vector per non-pivot column f: δ at f and −(δ/q)·row[f] at each
+    row's pivot, where q is the row's pivot entry and δ the lcm of them all.
+    """
+    d = lcm(*(row[p] for row, p in zip(rows, pivots)))
     out = []
-    for row, c in zip(red, pivots):
-        out.append(tuple(Fraction(x, row[c]) if x else _ZERO for x in row))
-    return out, tuple(pivots)
+    for f in sorted(set(range(cols)).difference(pivots)):
+        v = [0] * cols
+        v[f] = d
+        for row, p in zip(rows, pivots):
+            v[p] = -(d // row[p]) * row[f]
+        out.append(v)
+    return out
 
 
 class Matrix:
@@ -104,9 +135,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ents = tuple(frac(x) for x in entries)
         if len(ents) != rows * cols:
-            raise ValueError(
-                f"matrix needs {rows * cols} entries, got {len(ents)}"
-            )
+            raise ValueError(f"matrix needs {rows * cols} entries, got {len(ents)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ents)
@@ -130,23 +159,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [_ZERO] * (rows * cols))
-
-    @classmethod
-    def stack(cls, matrices: Sequence["Matrix"], cols: int) -> "Matrix":
-        """Vertical concatenation; `cols` disambiguates the empty stack."""
-        ents: list[Fraction] = []
-        rows = 0
-        for m in matrices:
-            if m.cols != cols:
-                raise ValueError("column count mismatch in stack")
-            ents.extend(m.entries)
-            rows += m.rows
-        return cls(rows, cols, ents)
 
     # -- element access ----------------------------------------------------
 
@@ -165,26 +182,14 @@ class Matrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return Matrix(self.cols, self.rows, [x for col in zip(*self.row_list()) for x in col])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        n, k, m = self.rows, self.cols, other.cols
-        out = [_ZERO] * (n * m)
-        for i in range(n):
-            arow = self.entries[i * k : (i + 1) * k]
-            for j in range(m):
-                out[i * m + j] = sum(
-                    (arow[t] * other.entries[t * m + j] for t in range(k)), _ZERO
-                )
-        return Matrix(n, m, out)
+        (n, k), (k2, m) = (self.rows, self.cols), (other.rows, other.cols)
+        if k != k2:
+            raise ValueError(f"cannot multiply {n}x{k} by {k2}x{m}")
+        cols = other.transpose().row_list()
+        return Matrix(n, m, [vdot(r, c) for r in self.row_list() for c in cols])
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
@@ -209,8 +214,8 @@ class Matrix:
         the strictly increasing pivot-column indices.  The row space is
         preserved, which makes the result a canonical form for subspaces.
         """
-        red, pivots = rref_rows(self.row_list(), self.cols)
-        return Matrix.from_rows(red, self.cols), pivots
+        red, pivots = echelon_rows(self.row_list(), self.cols)
+        return Matrix.from_rows([divided(r, r[c]) for r, c in zip(red, pivots)], self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -220,18 +225,8 @@ class Matrix:
 
         Row count is cols - rank by construction.
         """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        rows = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for r_idx, p in enumerate(pivots):
-                v[p] = -red[r_idx, f]
-            rows.append(v)
-        basis = Matrix.from_rows(rows, self.cols)
-        return basis.rref()[0]
+        rows = kernel_rows(*echelon_rows(self.row_list(), self.cols), self.cols)
+        return Matrix.from_rows(rows, self.cols).rref()[0]
 
     # -- value semantics ----------------------------------------------------
 

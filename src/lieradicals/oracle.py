@@ -33,7 +33,7 @@ from itertools import combinations
 
 from . import catalog as _catalog
 from .core import LieAlgebra
-from .linalg import Matrix, vadd, vscale
+from .linalg import vadd, vscale
 from .series import (
     ProfileReport,
     SeriesKind,
@@ -176,8 +176,7 @@ def _preimage(L: LieAlgebra, ideal: Subspace, h: Subspace) -> Subspace:
     Quotient coordinates index the non-pivot columns of the ideal's basis,
     as in `LieAlgebra.quotient`.
     """
-    pivot_set = set(ideal.pivots)
-    non_pivots = [c for c in range(L.dim) if c not in pivot_set]
+    non_pivots = ideal.free_columns()
     lifts = []
     for row in h.rows():
         v = [Fraction(0)] * L.dim
@@ -188,8 +187,8 @@ def _preimage(L: LieAlgebra, ideal: Subspace, h: Subspace) -> Subspace:
 
 
 def _stacked_center(Q: LieAlgebra) -> Subspace:
-    blocks = [Q.ad(Q.basis_vector(j)) for j in range(Q.dim)]
-    return Subspace(Q.dim, Matrix.stack(blocks, Q.dim).kernel())
+    rows = [r for j in range(Q.dim) for r in Q.ad(Q.basis_vector(j)).row_list()]
+    return Subspace.span(rows, Q.dim).annihilator()
 
 
 def naive_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
@@ -297,7 +296,7 @@ def _p22(ctx: _Context) -> tuple:
 
 
 def _p24(ctx: _Context) -> tuple:
-    fired = [i for i in ctx.perfect if is_perfect(ctx.L.quotient(i)[0])]
+    fired = [i for i in ctx.perfect if is_perfect(ctx.L._quotient(i))]
     if not fired:
         return VACUOUS, "no sampled perfect ideal has a perfect quotient"
     if ctx.prof.perfect:
@@ -326,7 +325,7 @@ def _p34(ctx: _Context) -> tuple:
     L = ctx.L
     instances = nontrivial = 0
     for i in ctx.near_perfect:
-        q, _ = L.quotient(i)
+        q = L._quotient(i)
         candidates = {q.zero_space(), near_perfect_radical(q)}
         for _ in range(3):
             h = random_ideal(q, ctx.rng.randrange(2**32))

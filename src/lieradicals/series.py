@@ -27,11 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable
 
 from .core import LieAlgebra, NotAnIdealError
-from .linalg import Matrix
 from .subspace import Subspace
 
 
@@ -104,17 +102,19 @@ def _upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """U(I) for an I already known to be an ideal.
 
     Row (j, c) of the stacked system is coordinate c of [x, e_j] mod I, as a
-    function of x: column i holds [e_i, e_j] reduced by I, whose nonzero
-    coordinates lie off I's pivots.  Only the stored nonzero brackets are
-    visited, and rows that vanish are never built.
+    function of x: column i holds the integer `ideal._reduce` of the adjoint
+    entry D·[e_i, e_j], which is δ·D·([e_i, e_j] mod I) and vanishes at I's
+    pivots.  The common scalar δ·D leaves the kernel unchanged.  Only the
+    stored nonzero brackets are visited, and rows that vanish are never built.
     """
-    rows: dict[tuple[int, int], list[Fraction]] = {}
-    for (i, j), v in L.constants.items():
-        for c, a in enumerate(ideal.reduce(v)):
-            if a:
-                rows.setdefault((j, c), [Fraction(0)] * L.dim)[i] = a
-    stacked = Matrix.from_rows(list(rows.values()), L.dim)
-    return Subspace(L.dim, stacked.kernel())
+    n = L.dim
+    rows: dict[tuple[int, int], list[int]] = {}
+    for i, row in enumerate(L._adjoint):
+        for j, col in row.items():
+            for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
+                if a:
+                    rows.setdefault((j, c), [0] * n)[i] = a
+    return Subspace.span(rows.values(), n).annihilator()
 
 
 def upper_central_series(L: LieAlgebra) -> SeriesReport:

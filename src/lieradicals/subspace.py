@@ -1,42 +1,36 @@
 """Canonical linear subspaces of the ambient coordinate space.
 
-A :class:`Subspace` keeps its basis in reduced row echelon form with no zero
-rows, so two subspaces are equal exactly when their basis matrices are equal.
-That turns every containment/equality question in the rest of the package into
-a syntactic check, with no tolerances anywhere.  Ideals of a Lie algebra are
-represented by these values.
+A :class:`Subspace` keeps the canonical integer rows of `linalg.echelon_rows`
+(its RREF basis rows scaled to coprime integers) and their pivots, so two
+subspaces are equal exactly when those rows are: every containment/equality
+question in the package is a syntactic check, with no tolerances anywhere.
+Reduction stays in integers too: with δ the lcm of the pivot entries q_r, the
+row B_r = (δ/q_r)·row_r is δ times RREF row r, and RREF rows vanish at the
+other pivots, so δ·(v mod the subspace) = δ·v − Σ_r v[p_r]·B_r.  Fractions
+are made only on request (`basis`, `rows()`, `reduce`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, is_zero_vector, rref_rows, vector
+from .linalg import Matrix, divided, echelon_rows, kernel_rows, numerators, vector
 
 
 class Subspace:
-    """A subspace of Q^n, canonicalized by its RREF basis."""
+    """A subspace of Q^n, canonicalized by its integer echelon rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_delta", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        # `basis` must already be in RREF with no zero rows; use span() for
-        # arbitrary generating sets.
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width disagrees with ambient dimension")
-        if basis.rows > ambient_dim:
-            raise ValueError("more basis rows than the ambient dimension allows")
-        pivots = []
-        for i in range(basis.rows):
-            row = basis.row(i)
-            lead = next((j for j, x in enumerate(row) if x != 0), None)
-            if lead is None:
-                raise ValueError("zero row in subspace basis")
-            pivots.append(lead)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(pivots))
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]], pivots: Iterable[int]):
+        # `rows` and `pivots` must already be canonical, as `echelon_rows`
+        # gives them; use span() for arbitrary generating sets.
+        rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
+        delta = lcm(*(r[p] for r, p in zip(rows, pivots)))
+        for name, value in zip(self.__slots__, (ambient_dim, rows, pivots, delta, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("Subspace is immutable")
@@ -47,48 +41,51 @@ class Subspace:
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         """Smallest subspace containing the int or Fraction rows, canonicalized."""
         rows = list(vectors)
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("vector length disagrees with ambient dimension")
-        reduced, _ = rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, Matrix.from_rows(reduced, ambient_dim))
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("vector length disagrees with ambient dimension")
+        return cls(ambient_dim, *echelon_rows(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.from_rows([], ambient_dim))
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        n = ambient_dim
+        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)], range(n))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return self.basis.rows == 0
+        return not self.pivots
 
     def is_full(self) -> bool:
-        return self.basis.rows == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis, a matrix of Fractions made on first use."""
+        if self._basis is None:
+            rows = [divided(r, r[p]) for r, p in zip(self.int_rows, self.pivots)]
+            object.__setattr__(self, "_basis", Matrix.from_rows(rows, self.ambient_dim))
+        return self._basis
 
     def rows(self) -> list[tuple[Fraction, ...]]:
         return self.basis.row_list()
 
-    def _eliminate(self, v: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-        """Coefficients taken off v at each pivot, and what remains of v."""
-        w = list(vector(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        coeffs = []
-        for r_idx, p in enumerate(self.pivots):
-            c = w[p]
-            coeffs.append(c)
-            if c:
-                row = self.basis.row(r_idx)
-                w = [a - c * b for a, b in zip(w, row)]
-        return tuple(coeffs), tuple(w)
+    def _reduce(self, u: Sequence[int]) -> list[int]:
+        """δ·(u mod this subspace) for an integer vector u: δ·u − Σ_r u[p_r]·B_r."""
+        d = self._delta
+        w = [d * x for x in u]
+        for r, p in zip(self.int_rows, self.pivots):
+            if u[p]:
+                c = u[p] * (d // r[p])
+                w = [a - c * b for a, b in zip(w, r)]
+        return w
 
     def reduce(self, v: Sequence) -> tuple[Fraction, ...]:
         """Remainder of v after eliminating this subspace's pivot coordinates.
@@ -96,15 +93,19 @@ class Subspace:
         The result has zeros at all pivot columns; it is the canonical
         representative of v modulo this subspace.
         """
-        return self._eliminate(v)[1]
+        u, e = numerators(vector(v))  # v = u / e
+        if len(u) != self.ambient_dim:
+            raise ValueError("vector length disagrees with ambient dimension")
+        return divided(self._reduce(u), self._delta * e)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
+        return not any(self.reduce(v))
 
     def coordinates(self, v: Sequence) -> tuple[Fraction, ...] | None:
-        """Coefficients of v against the RREF basis, or None if v is outside."""
-        coeffs, rest = self._eliminate(v)
-        return coeffs if is_zero_vector(rest) else None
+        """Coefficients of v against the RREF basis, or None if v is outside:
+        v's entries at the pivots, since RREF rows vanish at the other pivots."""
+        v = vector(v)
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
     # -- lattice operations --------------------------------------------------
 
@@ -114,22 +115,25 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.rows() + other.rows(), self.ambient_dim)
+        return Subspace.span(self.int_rows + other.int_rows, self.ambient_dim)
+
+    def annihilator(self) -> "Subspace":
+        """U^⊥ = {x : u·x = 0 for every u in U}, the kernel of the basis matrix."""
+        n = self.ambient_dim
+        return Subspace.span(kernel_rows(self.int_rows, self.pivots, n), n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V = (U^⊥ + V^⊥)^⊥ under the standard dot product.
 
-        Each annihilator is the kernel of a basis matrix; the dot product is
-        nondegenerate, so (U^⊥)^⊥ = U and the outer kernel is U ∩ V.
+        The dot product is nondegenerate, so (U^⊥)^⊥ = U and the outer
+        annihilator is U ∩ V.
         """
         self._check_ambient(other)
-        n = self.ambient_dim
-        annihilators = Matrix.stack([self.basis.kernel(), other.basis.kernel()], n)
-        return Subspace(n, annihilators.kernel())
+        return (self.annihilator() + other.annihilator()).annihilator()
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(r) for r in self.rows())
+        return not any(any(other._reduce(r)) for r in self.int_rows)
 
     def quotient_projection(self) -> Matrix:
         """Projection onto the complementary standard coordinates.
@@ -138,26 +142,23 @@ class Subspace:
         applying the matrix to v gives the coordinates of v mod this subspace
         in the basis of standard vectors at those columns.
         """
-        pivot_set = set(self.pivots)
-        non_pivots = [c for c in range(self.ambient_dim) if c not in pivot_set]
-        rows = []
-        for c in non_pivots:
-            row = [Fraction(0)] * self.ambient_dim
-            row[c] = Fraction(1)
-            for r_idx, p in enumerate(self.pivots):
-                row[p] = -self.basis[r_idx, c]
-            rows.append(row)
-        return Matrix.from_rows(rows, self.ambient_dim)
+        n = self.ambient_dim
+        cols = [self.reduce([int(i == j) for i in range(n)]) for j in range(n)]
+        return Matrix.from_rows([[v[c] for v in cols] for c in self.free_columns()], n)
+
+    def free_columns(self) -> list[int]:
+        """The non-pivot columns, in increasing order."""
+        return sorted(set(range(self.ambient_dim)).difference(self.pivots))
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.int_rows))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)

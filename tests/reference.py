@@ -4,17 +4,18 @@ The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and ar
 built here, apart from the package's own catalog; `rational-<name>` is the
 same algebra in a fixed dense basis whose constants carry denominators.  The
 reference routines are the package's earlier implementations of the RREF,
-the Killing Gram matrix, the upper extension, the axiom check, subspace
-intersection and the ideal closure, kept as slow paths that the faster code is compared against
-entry by entry.
+the Killing Gram matrix and its orthogonal, the upper extension, the axiom
+check, subspace intersection, the ideal closure, reduction modulo a subspace
+and the quotient algebra, kept as slow paths that the faster code is compared
+against entry by entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lieradicals.core import LieAlgebra
-from lieradicals.linalg import Matrix, is_zero_vector, vadd
+from lieradicals.core import LieAlgebra, StructureConstants
+from lieradicals.linalg import Matrix, is_zero_vector, vadd, vdot, vector
 from lieradicals.subspace import Subspace
 
 ZERO = Fraction(0)
@@ -202,6 +203,11 @@ def fraction_rref(mat: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix.from_rows(m[:r], mat.cols), tuple(pivots)
 
 
+def stack(matrices, cols: int) -> Matrix:
+    """Vertical concatenation; `cols` disambiguates the empty stack."""
+    return Matrix.from_rows([r for m in matrices for r in m.row_list()], cols)
+
+
 def dense_killing(L: LieAlgebra) -> Matrix:
     """K_ij = tr(ad(e_i) @ ad(e_j)) from dense adjoint matrices."""
     n = L.dim
@@ -227,13 +233,13 @@ def naive_ideal_closure(L: LieAlgebra, vectors) -> Subspace:
 
 def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """Kernel of the stacked maps proj @ -ad(e_j), one block per basis vector."""
-    proj = ideal.quotient_projection()
+    proj = fraction_projection(ideal)
     blocks = []
     for j in range(L.dim):
         ad_j = L.ad(L.basis_vector(j))
         neg_ad_j = Matrix(ad_j.rows, ad_j.cols, [-a for a in ad_j.entries])
         blocks.append(proj @ neg_ad_j)
-    return Subspace(L.dim, Matrix.stack(blocks, L.dim).kernel())
+    return Subspace.span(stack(blocks, L.dim).kernel().row_list(), L.dim)
 
 
 def coefficient_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -242,7 +248,7 @@ def coefficient_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return Subspace.zero(n)
     neg_b = Matrix.from_rows([[-x for x in row] for row in b.rows()], n)
-    coeffs = Matrix.stack([a.basis, neg_b], n).transpose().kernel()
+    coeffs = stack([a.basis, neg_b], n).transpose().kernel()
     vecs = []
     for i in range(coeffs.rows):
         v = [ZERO] * n
@@ -273,3 +279,63 @@ def dense_validate(L: LieAlgebra) -> tuple:
                 if not is_zero_vector(s):
                     return (False, "jacobi", (i + 1, j + 1, k + 1))
     return (True, None, ())
+
+
+def fraction_reduce(s: Subspace, v) -> tuple[tuple, tuple]:
+    """(coefficients taken off v at each pivot, remainder of v), by subtracting
+    the `Fraction` RREF rows of s one pivot at a time."""
+    w = list(vector(v))
+    coeffs = []
+    for r_idx, p in enumerate(s.pivots):
+        c = w[p]
+        coeffs.append(c)
+        if c:
+            w = [a - c * b for a, b in zip(w, s.basis.row(r_idx))]
+    return tuple(coeffs), tuple(w)
+
+
+def fraction_kernel(m: Matrix) -> Matrix:
+    """RREF basis of {v : m v = 0}, from `fraction_rref` alone."""
+    red, pivots = fraction_rref(m)
+    vecs = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r_idx, p in enumerate(pivots):
+            v[p] = -red.row(r_idx)[f]
+        vecs.append(v)
+    return fraction_rref(Matrix.from_rows(vecs, m.cols))[0]
+
+
+def fraction_killing_orthogonal(gram: Matrix, s: Subspace) -> Matrix:
+    """RREF basis of {x : K(x, y) = 0 for y in s}, from a `Fraction` Gram matrix."""
+    n = gram.cols
+    constraints = [[vdot(gram.row(i), y) for i in range(n)] for y in s.rows()]
+    return fraction_kernel(Matrix.from_rows(constraints, n))
+
+
+def fraction_projection(s: Subspace) -> Matrix:
+    """Row c: e_c minus the RREF entries at c, placed at the pivots, for each
+    non-pivot column c; it maps v to its coordinates modulo s."""
+    rows = []
+    for c in (c for c in range(s.ambient_dim) if c not in s.pivots):
+        row = [ZERO] * s.ambient_dim
+        row[c] = ONE
+        for r_idx, p in enumerate(s.pivots):
+            row[p] = -s.basis.row(r_idx)[c]
+        rows.append(row)
+    return Matrix.from_rows(rows, s.ambient_dim)
+
+
+def dense_quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
+    """L / ideal from the projection matrix applied to every basis pair."""
+    proj = fraction_projection(ideal)
+    non_pivots = [c for c in range(L.dim) if c not in ideal.pivots]
+    d = len(non_pivots)
+    table = {}
+    for a in range(d):
+        for b_ in range(a + 1, d):
+            w = L.constants.bracket_basis(non_pivots[a], non_pivots[b_])
+            table[(a, b_)] = proj.apply(w)
+    labels = tuple(L.labels[c] for c in non_pivots)
+    return LieAlgebra(StructureConstants.from_brackets(d, table), labels), proj

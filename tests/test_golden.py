@@ -28,7 +28,7 @@ import reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4", *reference.RATIONAL)
-VERIFY_FAMILIES = ("b4", "n5", "gl4", "rational-b3")
+VERIFY_FAMILIES = ("b4", "n5", "gl4", "rational-b3", "rational-n5", "rational-gl3")
 VERIFY_ARGS = ("--json", "--samples", "50", "--seed", "0")
 VERIFY_FAMILY_ARGS = ("--json", "--samples", "10", "--seed", "0")
 

@@ -12,6 +12,12 @@ most of them invalid, with integer constants and with denominators.
 `LieAlgebra.ideal_closure`, which brackets L only with what the last round
 added, is compared with `reference.naive_ideal_closure`, which brackets L
 with the whole subspace every round, on random vectors of every input.
+
+The integer paths of `Subspace` and of the algebra built on them are compared
+with the `Fraction` code they replaced: `reduce`, `coordinates` and
+`contains` with `reference.fraction_reduce` on every subspace that `profile`
+builds, `killing_orthogonal` with the dense `Fraction` Gram matrix, and the
+sparse `quotient` with `reference.dense_quotient`, which projects every pair.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from fractions import Fraction
 import pytest
 
 from lieradicals import catalog, linalg, subspace
+from lieradicals.subspace import Subspace
 from lieradicals.core import LieAlgebra, StructureConstants
-from lieradicals.linalg import Matrix
-from lieradicals.oracle import random_algebras
+from lieradicals.linalg import Matrix, is_zero_vector
+from lieradicals.oracle import random_algebras, random_ideal
 from lieradicals.series import (
     derived_series,
     is_semisimple,
@@ -92,6 +99,76 @@ def test_upper_extension_matches_dense_stack(name, L):
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_killing_orthogonal_matches_fraction_gram(name, L):
+    gram = L.killing_matrix()  # equal to the dense traces, as tested above
+    for ideal in _ideals(L):
+        assert L.killing_orthogonal(ideal).basis == reference.fraction_killing_orthogonal(gram, ideal)
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_quotient_matches_dense_projection(name, L):
+    rng = random.Random(name)
+    ideals = _ideals(L) + [random_ideal(L, rng.randrange(2**32)) for _ in range(3)]
+    for ideal in ideals:
+        q, proj = L.quotient(ideal)
+        expected_q, expected_proj = reference.dense_quotient(L, ideal)
+        assert q == expected_q and proj == expected_proj
+        assert L._quotient(ideal) == expected_q
+
+
+def _profile_subspaces(monkeypatch) -> list:
+    """Every distinct subspace that `profile` builds on the inputs."""
+    made = {}
+    init = Subspace.__init__
+    built = iter(range(20_000))  # about 2,000 when every series terminates
+
+    def record(self, *args):
+        init(self, *args)
+        made.setdefault(self, None)
+        assert next(built, None) is not None, "a series did not stabilize"
+
+    monkeypatch.setattr(Subspace, "__init__", record)
+    for _, L in INPUTS:
+        profile(L)
+    monkeypatch.undo()
+    return list(made)
+
+
+def _test_vectors(rng: random.Random, s: Subspace) -> list:
+    """Random int and Fraction vectors, some with 30-digit denominators, and
+    vectors of s and next to it."""
+    n, big = s.ambient_dim, 10**30
+    vecs = [
+        [rng.randint(-3, 3) for _ in range(n)],
+        [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(n)],
+        [Fraction(rng.randint(-big, big), rng.randint(big // 10, big)) for _ in range(n)],
+    ]
+    inside = [sum((Fraction(rng.randint(-big, big), rng.randint(1, big)) * row[k]
+                   for row in s.rows()), Fraction(0)) for k in range(n)]
+    vecs.append(inside)
+    if n:
+        vecs.append([x + (k == rng.randrange(n)) for k, x in enumerate(inside)])
+    return vecs
+
+
+def test_reduce_coordinates_contains_match_fraction_elimination(monkeypatch):
+    spaces = _profile_subspaces(monkeypatch)
+    assert len(spaces) >= 100
+    assert any(s._delta > 1 for s in spaces)
+    rng = random.Random(20261018)
+    outcomes = set()
+    for s in spaces:
+        for v in _test_vectors(rng, s) + _test_vectors(rng, s):
+            coeffs, rest = reference.fraction_reduce(s, v)
+            inside = is_zero_vector(rest)
+            outcomes.add(inside)
+            assert s.reduce(v) == rest
+            assert s.contains(v) == inside
+            assert s.coordinates(v) == (coeffs if inside else None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_ideal_closure_matches_naive_iteration(name, L):
     rng = random.Random(name)
     for count in (1, 1, 2, 3):
@@ -110,27 +187,32 @@ RATIONAL_VALUES = (0, 0, 1, Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4))
 
 
 def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
-    """Every matrix the elimination kernel sees while profiling the inputs."""
+    """Every matrix the elimination kernel sees while profiling the inputs:
+    its canonical integer rows, divided by their pivots, are the RREF."""
     seen = {}
-    kernel = linalg.rref_rows
+    kernel = linalg.echelon_rows
 
     def record(rows, cols):
         rows = tuple(tuple(r) for r in rows)
-        seen[(rows, cols)] = None
+        seen.setdefault((rows, cols), name)
         return kernel(rows, cols)
 
-    monkeypatch.setattr(linalg, "rref_rows", record)
-    monkeypatch.setattr(subspace, "rref_rows", record)
-    for _, L in INPUTS:
+    monkeypatch.setattr(linalg, "echelon_rows", record)
+    monkeypatch.setattr(subspace, "echelon_rows", record)
+    for name, L in INPUTS:
         profile(L)
     monkeypatch.undo()
     assert len(seen) >= 300
-    assert any(x.denominator > 1 for rows, _ in seen for r in rows for x in r)
+    # Profiling hands the kernel integers only, the inputs with denominators included.
+    assert set(reference.RATIONAL) <= set(seen.values())
+    assert all(type(x) is int for rows, _ in seen for r in rows for x in r)
     for rows, cols in seen:
         m = Matrix.from_rows(rows, cols)
         expected = reference.fraction_rref(m)
         assert m.rref() == expected
-        red, pivots = kernel(rows, cols)
+        ints, pivots = kernel(rows, cols)
+        assert all(r[p] > 0 and linalg.integer_row(r) == list(r) for r, p in zip(ints, pivots))
+        red = [linalg.divided(r, r[p]) for r, p in zip(ints, pivots)]
         assert (Matrix.from_rows(red, cols), pivots) == expected
 
 

@@ -130,7 +130,7 @@ def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:
 
 def _load(path: str) -> LieAlgebra | int:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)

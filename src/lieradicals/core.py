@@ -6,19 +6,20 @@ vectors and of subspaces, ideal tests and ideal closure, the adjoint
 representation, the Killing form and its orthogonal complements, restriction
 to a subalgebra, and quotients by ideals.
 
-Structure computations read one cached sparse adjoint table of integers,
-``_adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the common
-denominator D of all the constants, built once from the nonzero brackets.
-Brackets of vectors, ``ad``, the axiom check and the Killing Gram matrix
-K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory and
-Algorithms*, ch. 1) walk only its nonzero entries, and the upper extension
-in `series` visits only the stored nonzero brackets, so their work grows with
-the number of nonzero structure constants rather than with powers of the
-dimension: an abelian algebra costs next to nothing at any size.  Scaling by D
-keeps antisymmetry, Jacobi, spans and kernels, so `validate`, `bracket_spaces`
-and `killing_orthogonal` (on the Gram rows D²·K) run on integers alone, as do
-the integer rows of `Subspace`; `bracket` and `ad` divide by D once, the
-Killing form by D².
+`StructureConstants` holds the one copy of the constants: a sparse table of
+integers, ``adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the
+common denominator D of all the constants, built once at construction from
+the nonzero brackets.  `Fraction`s are made from it only on request
+(`bracket_basis`, `pairs`).  Brackets of vectors, the axiom check and the
+Killing Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras:
+Theory and Algorithms*, ch. 1) walk only its nonzero entries, and the upper
+extension in `series` visits only the stored nonzero brackets, so their work
+grows with the number of nonzero structure constants rather than with powers
+of the dimension: an abelian algebra costs next to nothing at any size.
+Scaling by D keeps antisymmetry, Jacobi, spans and kernels, so `validate`,
+`bracket_spaces` and `killing_orthogonal` (on the Gram rows D²·K) run on
+integers alone, as do the integer rows of `Subspace`; `bracket` divides by D
+once, the Killing form by D².
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -36,7 +37,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, is_zero_vector, vector, zero_vector
+from .linalg import Matrix, divided, is_zero_vector, vector
 from .subspace import Subspace
 
 
@@ -63,19 +64,20 @@ class ValidationReport:
 
 
 class StructureConstants:
-    """Sparse bracket table [e_i, e_j] = sum_k c^k_ij e_k.
+    """Sparse integer bracket table: [e_i, e_j] = sum_k (a^k_ij / D) e_k.
 
-    Only nonzero brackets are stored; both orientations of a pair are kept so
-    lookups never need sign fixing.  Use :meth:`from_brackets` for normal
-    construction (one orientation given, the other derived); the constructor
-    wraps a raw, possibly non-antisymmetric table that validation should
-    inspect.
+    `denominator` is D, the lcm of the denominators of all the constants, and
+    ``adjoint[i][j] = {k: a^k_ij}`` holds only the nonzero integers D·c^k_ij;
+    both are read-only.  Both orientations of a pair are kept so lookups never
+    need sign fixing.  Use :meth:`from_brackets` for normal construction (one
+    orientation given, the other derived); the constructor wraps a raw,
+    possibly non-antisymmetric table that validation should inspect.
     """
 
-    __slots__ = ("dim", "_table")
+    __slots__ = ("dim", "denominator", "adjoint")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence]):
-        tab: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        vecs: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         for (i, j), v in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"basis index out of range in bracket ({i}, {j})")
@@ -83,9 +85,14 @@ class StructureConstants:
             if len(vec) != dim:
                 raise ValueError("bracket coefficient vector has wrong length")
             if not is_zero_vector(vec):
-                tab[(i, j)] = vec
+                vecs[(i, j)] = vec
+        d = lcm(*(c.denominator for v in vecs.values() for c in v))
+        adjoint: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        for (i, j), v in vecs.items():
+            adjoint[i][j] = {k: c.numerator * (d // c.denominator) for k, c in enumerate(v) if c}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", tab)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "adjoint", tuple(adjoint))
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("StructureConstants is immutable")
@@ -124,26 +131,27 @@ class StructureConstants:
         return cls(dim, table)
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[e_i, e_j] as a coordinate vector."""
-        v = self._table.get((i, j))
-        return v if v is not None else zero_vector(self.dim)
+        """[e_i, e_j] as a coordinate vector of Fractions."""
+        col = self.adjoint[i].get(j, {})
+        return divided([col.get(k, 0) for k in range(self.dim)], self.denominator)
 
     def pairs(self):
         """Defining brackets (i < j, nonzero), in index order."""
-        for (i, j) in sorted(self._table):
-            if i < j:
-                yield i, j, self._table[(i, j)]
-
-    def items(self):
-        return self._table.items()
+        for i, row in enumerate(self.adjoint):
+            for j in sorted(row):
+                if i < j:
+                    yield i, j, self.bracket_basis(i, j)
 
     def __eq__(self, other) -> bool:
+        # D is the lcm of the reduced denominators, so (D, integers) fixes the Fractions.
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.dim == other.dim and self._table == other._table
+        return (self.dim, self.denominator, self.adjoint) == (
+            other.dim, other.denominator, other.adjoint)
 
     def __repr__(self) -> str:
-        return f"StructureConstants(dim={self.dim}, nonzero={len(self._table)})"
+        nonzero = sum(map(len, self.adjoint))
+        return f"StructureConstants(dim={self.dim}, nonzero={nonzero})"
 
 
 def _support(x: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -204,7 +212,7 @@ class LieAlgebra:
         bracket are evaluated.
         """
         n = self.dim
-        adj = self._adjoint
+        adj = self.constants.adjoint
         bad_pairs = [
             (min(i, j), max(i, j))
             for i, row in enumerate(adj)
@@ -262,7 +270,8 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """[x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i and stored brackets."""
-        x = [a / self._denominator for a in vector(x)]
+        d = self.constants.denominator
+        x = [a / d for a in vector(x)]
         y = vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
@@ -270,9 +279,9 @@ class LieAlgebra:
 
     def _bracket(self, xs: list[tuple], y: Sequence) -> list:
         """D·[x, y] from the nonzero (i, x_i) of x, in the type of the inputs."""
-        out = [0] * self.dim
+        out, adj = [0] * self.dim, self.constants.adjoint
         for i, xi in xs:
-            for j, col in self._adjoint[i].items():
+            for j, col in adj[i].items():
                 c = xi * y[j]
                 if c:
                     for k, v in col.items():
@@ -312,38 +321,18 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Adjoint matrix of x: column j is [x, e_j]."""
-        x = [a / self._denominator for a in vector(x)]
+        x = vector(x)
         if len(x) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
-        n = self.dim
-        ents = [Fraction(0)] * (n * n)
-        for i, xi in _support(x):
-            for j, col in self._adjoint[i].items():
-                for k, c in col.items():
-                    ents[k * n + j] += xi * c
-        return Matrix(n, n, ents)
-
-    @cached_property
-    def _denominator(self) -> int:
-        """D, the lcm of the denominators of all the structure constants."""
-        return lcm(*(c.denominator for _, v in self.constants.items() for c in v))
-
-    @cached_property
-    def _adjoint(self) -> tuple[dict[int, dict[int, int]], ...]:
-        """_adjoint[i][j] = {k: a^k_ij}, holding only the nonzero D·c^k_ij."""
-        d = self._denominator
-        table: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        for (i, j), v in self.constants.items():
-            a = [c.numerator * (d // c.denominator) for c in v]
-            table[i][j] = {k: x for k, x in enumerate(a) if x}
-        return tuple(table)
+        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
+        return Matrix(self.dim, self.dim, [c for row in zip(*cols) for c in row])
 
     @cached_property
     def _killing(self) -> tuple[dict[int, int], ...]:
         """_killing[i] = {j: D²·K_ij}, the nonzero entries of the scaled Gram
         matrix, K_ij = sum_{k,l} c^l_ik c^k_jl summed over the nonzero c^l_ik."""
         n = self.dim
-        adj = self._adjoint
+        adj = self.constants.adjoint
         gram: list[dict[int, int]] = [{} for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -359,7 +348,7 @@ class LieAlgebra:
 
     def killing_matrix(self) -> Matrix:
         """Gram matrix of the Killing form: K_ij = tr(ad(e_i) ad(e_j))."""
-        n, d2 = self.dim, self._denominator ** 2
+        n, d2 = self.dim, self.constants.denominator ** 2
         return Matrix(n, n, [Fraction(g.get(j, 0), d2) for g in self._killing for j in range(n)])
 
     def killing_form(self, x: Sequence, y: Sequence) -> Fraction:
@@ -367,7 +356,7 @@ class LieAlgebra:
         x, y = vector(x), vector(y)
         gram = enumerate(self._killing)
         t = sum((x[i] * c * y[j] for i, g in gram for j, c in g.items()), Fraction(0))
-        return t / self._denominator ** 2
+        return t / self.constants.denominator ** 2
 
     def killing_orthogonal(self, s: Subspace) -> Subspace:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""

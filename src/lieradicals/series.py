@@ -109,7 +109,7 @@ def _upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """
     n = L.dim
     rows: dict[tuple[int, int], list[int]] = {}
-    for i, row in enumerate(L._adjoint):
+    for i, row in enumerate(L.constants.adjoint):
         for j, col in row.items():
             for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
                 if a:

@@ -127,6 +127,20 @@ def test_non_utf8_file_exit_2(tmp_path, command, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_byte_order_mark_and_crlf_are_read_as_plain_utf8(tmp_path, command, capsys):
+    plain, marked = tmp_path / "plain.alg", tmp_path / "bom.alg"
+    plain.write_bytes(GOOD.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + GOOD.replace("\n", "\r\n").encode("utf-8"))
+    outputs = []
+    for p in (plain, marked):
+        assert main([command, str(p), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_dim_above_the_limit_exit_2(tmp_path, command, capsys):
     p = tmp_path / "huge.alg"
     p.write_text("dim 99999999999\n")

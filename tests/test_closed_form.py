@@ -16,6 +16,14 @@ The expected subspaces are built from integer powers of M and
 Hypothesis draws M up to k = 39 (dim 40); fixed cases reach `MAX_DIM`, far
 past the dim-16 inputs of the other comparisons, so they drive the integer
 upper extension and reduction through long chains and wide rows.
+
+A direct sum A ⊕ B is computed part by part: each series term, radical,
+center and smallest upper bounded ideal is the block sum of the parts' ones
+(the shorter chain padded with its stable term), each flag is the
+conjunction of the parts' flags, and the Killing matrix is block-diagonal.
+The sums pair `semidirect(M)` with every catalog entry and with b3 in the
+dense rational basis of `reference`, so the structure tensor mixes integer
+and rational constants at shifted indices.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieradicals import catalog
 from lieradicals.algfile import MAX_DIM
 from lieradicals.core import LieAlgebra
 from lieradicals.linalg import Matrix
@@ -141,9 +150,9 @@ def _permuted(m: list[list[int]], rng: random.Random) -> list[list[int]]:
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, max_k=39):
     """Sparse, nilpotent (strictly triangular, then permuted) or mixed M."""
-    k = draw(st.integers(1, 39))
+    k = draw(st.integers(1, max_k))
     kind = draw(st.sampled_from(("sparse", "nilpotent", "mixed")))
     density = draw(st.sampled_from((0.05, 0.15, 0.4)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -203,3 +212,67 @@ def test_fixed_cases_near_max_dim(case):
         k = 100
         m = [[(i % 7 - 3) * (i == j) for j in range(k)] for i in range(k)]
     check_closed_forms(m)
+
+
+# -- direct sums ---------------------------------------------------------------------
+
+
+def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    """A ⊕ B on the basis of A followed by the basis of B."""
+    n = a.dim + b.dim
+    brackets = {(i, j): [*v, *[0] * b.dim] for i, j, v in a.constants.pairs()}
+    for i, j, v in b.constants.pairs():
+        brackets[(a.dim + i, a.dim + j)] = [*[0] * a.dim, *v]
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+def _block(x: Matrix, y: Matrix) -> Matrix:
+    """The rows of x, then those of y shifted right: the RREF basis of X ⊕ Y
+    from those of X and Y, with no elimination."""
+    rows = [[*r, *[0] * y.cols] for r in x.row_list()]
+    rows += [[*[0] * x.cols, *r] for r in y.row_list()]
+    return Matrix.from_rows(rows, x.cols + y.cols)
+
+
+def _padded(report, length: int) -> list[Matrix]:
+    terms = _bases(report)
+    return terms + [terms[-1]] * (length - len(terms))
+
+
+def check_direct_sum(a: LieAlgebra, b: LieAlgebra) -> None:
+    pa, pb, ps = profile(a), profile(b), profile(direct_sum(a, b))
+    for kind in ("derived", "lower_central", "upper_central"):
+        ra, rb, rs = getattr(pa, kind), getattr(pb, kind), getattr(ps, kind)
+        length = max(len(ra.terms), len(rb.terms))
+        assert _bases(rs) == [_block(x, y) for x, y in
+                              zip(_padded(ra, length), _padded(rb, length))]
+    for name in ("perfect_radical", "near_perfect_radical", "radical", "center",
+                 "smallest_upper_bounded"):
+        assert getattr(ps, name).basis == _block(getattr(pa, name).basis,
+                                                 getattr(pb, name).basis)
+    assert ps.flags() == {k: pa.flags()[k] and pb.flags()[k] for k in pa.flags()}
+    # Stacking the two Gram matrices' rows, shifted, gives the block diagonal.
+    assert direct_sum(a, b).killing_matrix() == _block(a.killing_matrix(), b.killing_matrix())
+
+
+PARTNERS = [*catalog.names(), "rational-b3"]
+
+
+def _partner(name: str) -> LieAlgebra:
+    return reference.build(name) if name in reference.RATIONAL else catalog.get(name).algebra
+
+
+@settings(max_examples=25, deadline=None)
+@given(integer_matrices(max_k=8), st.sampled_from(PARTNERS), st.booleans())
+def test_direct_sum_with_a_partner_is_the_sum_of_the_parts(m, partner, semidirect_first):
+    a, b = semidirect(m), _partner(partner)
+    check_direct_sum(*((a, b) if semidirect_first else (b, a)))
+
+
+@pytest.mark.parametrize("m", [_cyclic(3), [[0, 1], [0, 0]], [[2, 0], [1, -1]]],
+                         ids=["cyclic", "nilpotent", "invertible"])
+def test_direct_sum_with_rational_b3_mixes_denominators(m):
+    a, b = semidirect(m), reference.build("rational-b3")
+    assert b.constants.denominator > 1
+    check_direct_sum(a, b)
+    check_direct_sum(b, a)

@@ -18,12 +18,18 @@ with the `Fraction` code they replaced: `reduce`, `coordinates` and
 `contains` with `reference.fraction_reduce` on every subspace that `profile`
 builds, `killing_orthogonal` with the dense `Fraction` Gram matrix, and the
 sparse `quotient` with `reference.dense_quotient`, which projects every pair.
+
+`validate` and `reference.dense_validate` read the same integer table, so the
+table itself is checked against the raw input it was built from: every
+bracket it gives back, raw and antisymmetrized, its denominator, the order of
+`pairs()`, and equality across spellings and scalings of the same table.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -216,8 +222,8 @@ def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
         assert (Matrix.from_rows(red, cols), pivots) == expected
 
 
-def _raw_tables(count: int, seed: int, values=INTEGER_VALUES):
-    """Random tables, raw and antisymmetrized; most fail an axiom."""
+def _random_tables(count: int, seed: int, values=INTEGER_VALUES):
+    """(dim, table) for random tables of ordered pairs, the diagonal included."""
     rng = random.Random(seed)
     for _ in range(count):
         dim = rng.randint(1, 6)
@@ -227,6 +233,12 @@ def _raw_tables(count: int, seed: int, values=INTEGER_VALUES):
             ]
             for _ in range(rng.randint(0, 8))
         }
+        yield dim, table
+
+
+def _raw_tables(count: int, seed: int, values=INTEGER_VALUES):
+    """Random tables, raw and antisymmetrized; most fail an axiom."""
+    for dim, table in _random_tables(count, seed, values):
         yield StructureConstants(dim, table)
         try:
             yield StructureConstants.from_brackets(dim, table)
@@ -255,3 +267,59 @@ def test_validate_with_denominators_matches_the_full_check():
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_valid_inputs_pass_both_checks(name, L):
     assert L.validate().ok and reference.dense_validate(L)[0]
+
+
+# -- the integer tensor against the table it was given ----------------------------
+
+
+def _scaled(table: dict, c) -> dict:
+    return {key: [c * Fraction(x) for x in v] for key, v in table.items()}
+
+
+def _check_tensor(dim: int, table: dict) -> None:
+    """`StructureConstants` on a table gives back its Fractions, raw and
+    antisymmetrized, and compares by value whatever numbers spell them."""
+    given = {key: tuple(map(Fraction, v)) for key, v in table.items()}
+    zero = (Fraction(0),) * dim
+    expected = {key: v for key, v in given.items() if v != zero}
+    raw = StructureConstants(dim, table)
+    assert raw.denominator == lcm(*(x.denominator for v in given.values() for x in v))
+    assert all(all(col.values()) for row in raw.adjoint for col in row.values())
+    derived = dict(expected)
+    for (i, j), v in expected.items():
+        derived.setdefault((j, i), tuple(-x for x in v))
+    cases = [(raw, expected)]
+    try:
+        cases.append((StructureConstants.from_brackets(dim, table), derived))
+    except ValueError:  # both orientations given, inconsistently
+        assert any(derived[(j, i)] != tuple(-x for x in v)
+                   for (i, j), v in expected.items() if i != j)
+    for constants, values in cases:
+        for i in range(dim):
+            for j in range(dim):
+                assert constants.bracket_basis(i, j) == values.get((i, j), zero)
+        listed = list(constants.pairs())
+        assert [(i, j) for i, j, _ in listed] == sorted(k for k in values if k[0] < k[1])
+        assert all(v == values[(i, j)] for i, j, v in listed)
+    # The same values spelled as ints, as unreduced and as reduced Fractions.
+    spellings = (
+        {key: [x.numerator if x.denominator == 1 else x for x in v] for key, v in given.items()},
+        {key: [Fraction(2 * x.numerator, 2 * x.denominator) for x in v] for key, v in given.items()},
+        given,
+    )
+    assert all(StructureConstants(dim, t) == raw for t in spellings)
+    for c in (2, Fraction(1, 2), -1):
+        assert (StructureConstants(dim, _scaled(table, c)) == raw) == (not expected)
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_tensor_gives_back_the_defining_brackets(name, L):
+    table = {(i, j): v for i, j, v in L.constants.pairs()}
+    _check_tensor(L.dim, table)
+    assert StructureConstants.from_brackets(L.dim, table) == L.constants
+
+
+@pytest.mark.parametrize("values", [INTEGER_VALUES, RATIONAL_VALUES], ids=["int", "rational"])
+def test_tensor_gives_back_raw_tables(values):
+    for dim, table in _random_tables(800, 13, values):
+        _check_tensor(dim, table)

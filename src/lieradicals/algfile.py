@@ -163,7 +163,8 @@ def render_algebra(L: LieAlgebra, name: str | None = None) -> str:
     if name:
         lines.append(f"# {name}")
     lines.append(f"dim {L.dim}")
-    lines.append("basis " + " ".join(L.labels))
+    if L.labels:
+        lines.append("basis " + " ".join(L.labels))
     for i, j, vec in L.constants.pairs():
         terms = " + ".join(
             f"{coeff}*e{k + 1}" for k, coeff in enumerate(vec) if coeff

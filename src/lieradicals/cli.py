@@ -17,7 +17,7 @@ from . import catalog as _catalog
 from .algfile import InvalidAlgebraError, ParseError, parse_algebra, render_algebra
 from .core import LieAlgebra
 from .oracle import TheoremReport, verify_theorems
-from .series import ProfileReport, SeriesReport, profile
+from .series import ProfileReport, profile
 from .subspace import Subspace
 
 EXIT_OK = 0
@@ -58,23 +58,11 @@ def _subspace_json(s: Subspace) -> dict:
     }
 
 
-def _series_json(rep: SeriesReport) -> list[dict]:
-    return [_subspace_json(t) for t in rep.chain]
-
-
 def profile_json(L: LieAlgebra, prof: ProfileReport) -> dict:
     return {
         "dim": L.dim,
-        "series": {
-            "derived": _series_json(prof.derived),
-            "lower_central": _series_json(prof.lower_central),
-            "upper_central": _series_json(prof.upper_central),
-        },
-        "perfect_radical": _subspace_json(prof.perfect_radical),
-        "near_perfect_radical": _subspace_json(prof.near_perfect_radical),
-        "radical": _subspace_json(prof.radical),
-        "center": _subspace_json(prof.center),
-        "smallest_upper_bounded": _subspace_json(prof.smallest_upper_bounded),
+        "series": {k: [_subspace_json(t) for t in rep.chain] for k, rep in prof.series().items()},
+        **{k: _subspace_json(s) for k, s in prof.subspaces().items()},
         "flags": prof.flags(),
     }
 
@@ -106,21 +94,12 @@ def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:
     labels = L.labels
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in prof.flags().items())
     lines = [f"dim {L.dim}", "basis " + " ".join(labels), f"flags: {flags}"]
-    for name, rep in (
-        ("derived series", prof.derived),
-        ("lower central series", prof.lower_central),
-        ("upper central series", prof.upper_central),
-    ):
-        lines.append(f"{name} (stabilizes at index {rep.stabilization_index}):")
+    for name, rep in prof.series().items():
+        lines.append(f"{name.replace('_', ' ')} series "
+                     f"(stabilizes at index {rep.stabilization_index}):")
         lines += (f"  term {k}  dim {term.dim}  basis: {_format_subspace(term, labels)}"
                   for k, term in enumerate(rep.chain))
-    for name, sub in (
-        ("perfect_radical", prof.perfect_radical),
-        ("near_perfect_radical", prof.near_perfect_radical),
-        ("radical", prof.radical),
-        ("center", prof.center),
-        ("smallest_upper_bounded", prof.smallest_upper_bounded),
-    ):
+    for name, sub in prof.subspaces().items():
         lines.append(f"{name:<24} dim {sub.dim}  basis: {_format_subspace(sub, labels)}")
     return "\n".join(lines) + "\n"
 

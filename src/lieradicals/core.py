@@ -37,7 +37,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, divided, is_zero_vector, vector
+from .linalg import Matrix, divided, vector
 from .subspace import Subspace
 
 
@@ -84,7 +84,7 @@ class StructureConstants:
             vec = vector(v)
             if len(vec) != dim:
                 raise ValueError("bracket coefficient vector has wrong length")
-            if not is_zero_vector(vec):
+            if any(vec):
                 vecs[(i, j)] = vec
         d = lcm(*(c.denominator for v in vecs.values() for c in v))
         adjoint: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
@@ -112,7 +112,7 @@ class StructureConstants:
             vec = vector(v)
             if len(vec) != dim:
                 raise ValueError("bracket coefficient vector has wrong length")
-            if is_zero_vector(vec):
+            if not any(vec):
                 continue
             if i == j:
                 table[(i, j)] = vec
@@ -354,6 +354,8 @@ class LieAlgebra:
     def killing_form(self, x: Sequence, y: Sequence) -> Fraction:
         """K(x, y) = tr(ad(x) ad(y)), evaluated through the scaled Gram matrix."""
         x, y = vector(x), vector(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length disagrees with the algebra dimension")
         gram = enumerate(self._killing)
         t = sum((x[i] * c * y[j] for i, g in gram for j, c in g.items()), Fraction(0))
         return t / self.constants.denominator ** 2

@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one elimination kernel and the
+`Fraction` matrix type of the package's results.
 
-Scalars are ``fractions.Fraction`` values (arbitrary-precision, always stored
-reduced with a positive denominator), so every result in this package is exact.
-Matrices are small, dense and immutable; the workhorse is :func:`echelon_rows`,
-behind :meth:`Matrix.rref` and ``Subspace.span``, which everything else
-(kernels, subspace lattices, series computations) is built on.  It scales each
-row to coprime integers (:func:`integer_row`), eliminates fraction-free in
-`_echelon`, and returns integer rows: Fractions are made only when a row is
-divided by its pivot entry (:func:`divided`), for output.
+The workhorse is :func:`echelon_rows`, behind ``Subspace.span`` and
+:meth:`Matrix.rref`, which everything else (kernels, subspace lattices, series
+computations) is built on.  It scales each row to coprime integers
+(:func:`integer_row`), eliminates fraction-free in `_echelon`, and returns
+integer rows: ``fractions.Fraction`` values are made only when a row is divided
+by its pivot entry (:func:`divided`), for output, so every result is exact.
+:class:`Matrix` is small, dense and immutable; it is what `ad`,
+`killing_matrix`, `quotient` and `Subspace.basis` return, and it keeps only
+`rref`, `kernel`, `@`, `transpose`, `identity` and `is_zero` beyond element
+access.
 """
 
 from __future__ import annotations
@@ -28,26 +31,6 @@ def frac(x) -> Fraction:
 
 def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(frac(x) for x in entries)
-
-
-def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return (_ZERO,) * n
-
-
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in v)
-
-
-def vdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
-
-
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
 
 
 def numerators(row: Sequence) -> tuple[list[int], int]:
@@ -161,10 +144,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
-
     # -- element access ----------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
@@ -189,18 +168,8 @@ class Matrix:
         if k != k2:
             raise ValueError(f"cannot multiply {n}x{k} by {k2}x{m}")
         cols = other.transpose().row_list()
-        return Matrix(n, m, [vdot(r, c) for r in self.row_list() for c in cols])
-
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(vdot(self.row(i), v) for i in range(self.rows))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), _ZERO)
+        return Matrix(n, m, [sum((a * b for a, b in zip(r, c)), _ZERO)
+                             for r in self.row_list() for c in cols])
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -216,9 +185,6 @@ class Matrix:
         """
         red, pivots = echelon_rows(self.row_list(), self.cols)
         return Matrix.from_rows([divided(r, r[c]) for r, c in zip(red, pivots)], self.cols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space {v : self @ v = 0}, rows in RREF.

@@ -33,7 +33,6 @@ from itertools import combinations
 
 from . import catalog as _catalog
 from .core import LieAlgebra
-from .linalg import vadd, vscale
 from .series import (
     ProfileReport,
     SeriesKind,
@@ -164,9 +163,9 @@ def _redundant_spanning(s: Subspace) -> list[tuple[Fraction, ...]]:
     rows = s.rows()
     vecs = list(rows)
     for a in range(len(rows)):
-        vecs.append(vscale(Fraction(2), rows[a]))
+        vecs.append(tuple(2 * x for x in rows[a]))
         for b in range(a + 1, len(rows)):
-            vecs.append(vadd(rows[a], rows[b]))
+            vecs.append(tuple(x + y for x, y in zip(rows[a], rows[b])))
     return vecs
 
 
@@ -269,7 +268,7 @@ def _flag_iff_zero(ctx: _Context, flag: str, name: str) -> tuple:
 def _quotient_is(ctx: _Context, pred, name: str, failure: str) -> tuple:
     """L / (the radical `name`) satisfies `pred`."""
     rad = getattr(ctx.prof, name)
-    q, _ = ctx.L.quotient(rad)
+    q = ctx.L._quotient(rad)
     return (HOLDS, f"quotient dim {q.dim}") if pred(q) else _bad(failure, **{name: rad})
 
 
@@ -426,11 +425,8 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
     rng = random.Random(seed)
     prof = profile(L)
     pool = {random_ideal(L, rng.randrange(2**32)) for _ in range(samples)}
-    pool.update((
-        L.zero_space(), L.full_space(), prof.perfect_radical, prof.near_perfect_radical,
-        prof.radical, prof.center, prof.smallest_upper_bounded,
-        *prof.derived.terms, *prof.lower_central.terms, *prof.upper_central.terms,
-    ))
+    pool.update((L.zero_space(), L.full_space(), *prof.subspaces().values()))
+    pool.update(t for rep in prof.series().values() for t in rep.terms)
     ideals = sorted(pool, key=sort_key)
     for i in ideals:
         _require_ideal(L, i)

@@ -257,14 +257,19 @@ class ProfileReport:
     abelian: bool
     semisimple: bool
 
+    # The reported fields, each group by name and in report order.
+    def series(self) -> dict[str, SeriesReport]:
+        return self._fields("derived", "lower_central", "upper_central")
+
+    def subspaces(self) -> dict[str, Subspace]:
+        return self._fields("perfect_radical", "near_perfect_radical", "radical", "center",
+                            "smallest_upper_bounded")
+
     def flags(self) -> dict[str, bool]:
-        return {
-            "solvable": self.solvable,
-            "nilpotent": self.nilpotent,
-            "perfect": self.perfect,
-            "abelian": self.abelian,
-            "semisimple": self.semisimple,
-        }
+        return self._fields("solvable", "nilpotent", "perfect", "abelian", "semisimple")
+
+    def _fields(self, *names: str) -> dict:
+        return {k: getattr(self, k) for k in names}
 
 
 def profile(L: LieAlgebra) -> ProfileReport:

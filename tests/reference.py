@@ -7,7 +7,9 @@ reference routines are the package's earlier implementations of the RREF,
 the Killing Gram matrix and its orthogonal, the upper extension, the axiom
 check, subspace intersection, the ideal closure, reduction modulo a subspace
 and the quotient algebra, kept as slow paths that the faster code is compared
-against entry by entry.
+against entry by entry.  The dense `Fraction` matrix and vector arithmetic
+that only these slow paths and the tests use (`apply`, `trace`, `rank`,
+`zeros`, `vdot`, ...) are plain functions here, apart from `Matrix`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lieradicals.core import LieAlgebra, StructureConstants
-from lieradicals.linalg import Matrix, is_zero_vector, vadd, vdot, vector
+from lieradicals.linalg import Matrix, vector
 from lieradicals.subspace import Subspace
 
 ZERO = Fraction(0)
@@ -169,6 +171,42 @@ def matrix_unit_ladder(max_dim: int) -> list[str]:
     return names
 
 
+# -- dense Fraction arithmetic ------------------------------------------------------
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [ZERO] * (rows * cols))
+
+
+def vadd(u, v) -> tuple[Fraction, ...]:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vdot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def is_zero_vector(v) -> bool:
+    return all(a == 0 for a in v)
+
+
+def apply(m: Matrix, v) -> tuple[Fraction, ...]:
+    """The matrix-vector product m·v."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(vdot(m.row(i), v) for i in range(m.rows))
+
+
+def trace(m: Matrix) -> Fraction:
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((m[i, i] for i in range(m.rows)), ZERO)
+
+
+def rank(m: Matrix) -> int:
+    return len(m.rref()[1])
+
+
 # -- slow paths -------------------------------------------------------------------
 
 
@@ -215,7 +253,7 @@ def dense_killing(L: LieAlgebra) -> Matrix:
     ents = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = (ads[i] @ ads[j]).trace()
+            t = trace(ads[i] @ ads[j])
             ents[i][j] = t
             ents[j][i] = t
     return Matrix.from_rows(ents, n)
@@ -336,6 +374,6 @@ def dense_quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     for a in range(d):
         for b_ in range(a + 1, d):
             w = L.constants.bracket_basis(non_pivots[a], non_pivots[b_])
-            table[(a, b_)] = proj.apply(w)
+            table[(a, b_)] = apply(proj, w)
     labels = tuple(L.labels[c] for c in non_pivots)
     return LieAlgebra(StructureConstants.from_brackets(d, table), labels), proj

@@ -11,7 +11,7 @@ from lieradicals.algfile import (
     parse_algebra,
     render_algebra,
 )
-from lieradicals.core import StructureConstants
+from lieradicals.core import LieAlgebra, StructureConstants
 
 S32_TEXT = """\
 # solvable example
@@ -167,3 +167,10 @@ def test_round_trip_every_catalog_entry():
         back = parse_algebra(text)
         assert back.constants == entry.algebra.constants, entry.name
         assert back.labels == entry.algebra.labels
+
+
+def test_round_trip_dimension_zero():
+    L = LieAlgebra.from_brackets(0, {})
+    text = render_algebra(L)
+    assert text == "dim 0\n"
+    assert parse_algebra(text) == L

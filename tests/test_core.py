@@ -10,8 +10,9 @@ from lieradicals.core import (
     NotClosedError,
     StructureConstants,
 )
-from lieradicals.linalg import Matrix, is_zero_vector, vadd
+from lieradicals.linalg import Matrix
 from lieradicals.subspace import Subspace
+from reference import apply, is_zero_vector, vadd, zeros
 
 F = Fraction
 
@@ -198,11 +199,11 @@ def test_adjoint_of_z(s32):
 
 
 def test_adjoint_of_zero_vector(s32):
-    assert s32.ad((0, 0, 0)) == Matrix.zeros(3, 3)
+    assert s32.ad((0, 0, 0)) == zeros(3, 3)
 
 
 def test_adjoint_on_abelian(abelian2):
-    assert abelian2.ad((3, -2)) == Matrix.zeros(2, 2)
+    assert abelian2.ad((3, -2)) == zeros(2, 2)
 
 
 def test_killing_of_heis3_is_zero(heis3):
@@ -240,6 +241,17 @@ def test_killing_symmetry_and_invariance(s32, sl2, heis3, sl2s32):
             assert L.killing_form(L.bracket(x, y), z) == L.killing_form(
                 x, L.bracket(y, z)
             )
+
+
+@pytest.mark.parametrize("x,y", [
+    ((1, 0), (1, 0, 0)),        # short
+    ((1, 0, 0), (1, 0)),
+    ((1, 0, 0, 5), (1, 0, 0)),  # long: must not be cut down to (1, 0, 0)
+    ((1, 0, 0), (1, 0, 0, 5)),
+])
+def test_killing_form_length_mismatch(sl2, x, y):
+    with pytest.raises(ValueError, match="vector length disagrees"):
+        sl2.killing_form(x, y)
 
 
 def test_killing_orthogonal_of_full_sl2(sl2):
@@ -336,6 +348,6 @@ def test_quotient_projection_is_homomorphism(s32, heis3, sl2s32):
         assert q.validate().ok
         for _ in range(30):
             x, y = rand_vec(rng, L.dim), rand_vec(rng, L.dim)
-            assert proj.apply(L.bracket(x, y)) == q.bracket(
-                proj.apply(x), proj.apply(y)
+            assert apply(proj, L.bracket(x, y)) == q.bracket(
+                apply(proj, x), apply(proj, y)
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -336,3 +337,12 @@ def test_nilpotent_implies_solvable_consistency():
             assert prof.solvable
         if prof.abelian and entry.algebra.dim > 0:
             assert prof.nilpotent
+
+
+def test_profile_report_groups_list_every_field_once_in_order(s32):
+    # series(), subspaces() and flags() are what the CLI and verify read, so
+    # together they must name each field of the report, in declared order.
+    prof = profile(s32)
+    groups = (prof.series(), prof.subspaces(), prof.flags())
+    assert [k for g in groups for k in g] == [f.name for f in dataclasses.fields(prof)]
+    assert all(v is getattr(prof, k) for g in groups for k, v in g.items())

@@ -36,7 +36,7 @@ import pytest
 from lieradicals import catalog, linalg, subspace
 from lieradicals.subspace import Subspace
 from lieradicals.core import LieAlgebra, StructureConstants
-from lieradicals.linalg import Matrix, is_zero_vector
+from lieradicals.linalg import Matrix
 from lieradicals.oracle import random_algebras, random_ideal
 from lieradicals.series import (
     derived_series,
@@ -49,6 +49,7 @@ from lieradicals.series import (
 )
 
 import reference
+from reference import is_zero_vector
 
 FAMILY_NAMES = reference.matrix_unit_ladder(16)
 ABELIAN_DIMS = (0, 1, 5, 12)

@@ -9,6 +9,7 @@ from lieradicals.linalg import Matrix
 from lieradicals.subspace import Subspace
 
 import reference
+from reference import apply
 
 
 def span(*vecs, n=3):
@@ -174,6 +175,6 @@ def test_quotient_projection_kills_the_subspace():
     a = span((1, 0, 1), (0, 1, 1))
     p = a.quotient_projection()
     for row in a.rows():
-        assert all(x == 0 for x in p.apply(row))
+        assert all(x == 0 for x in apply(p, row))
     # the complementary coordinate survives
-    assert p.apply((0, 0, 1)) == (Fraction(1),)
+    assert apply(p, (0, 0, 1)) == (Fraction(1),)

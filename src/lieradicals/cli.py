@@ -93,7 +93,7 @@ def _dump_json(obj: dict) -> str:
 def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:
     labels = L.labels
     flags = " ".join(f"{k}={str(v).lower()}" for k, v in prof.flags().items())
-    lines = [f"dim {L.dim}", "basis " + " ".join(labels), f"flags: {flags}"]
+    lines = [f"dim {L.dim}", " ".join(("basis", *labels)), f"flags: {flags}"]
     for name, rep in prof.series().items():
         lines.append(f"{name.replace('_', ' ')} series "
                      f"(stabilizes at index {rep.stabilization_index}):")

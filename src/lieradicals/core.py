@@ -37,7 +37,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, divided, vector
+from .linalg import Matrix, divided, insert_row, integer_row, vector
 from .subspace import Subspace
 
 
@@ -292,14 +292,19 @@ class LieAlgebra:
         """Span of the pairwise brackets of the two bases: the ideal product."""
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension disagrees with the algebra")
+        adj = self.constants.adjoint
+        supports = [(v, {j for j, x in enumerate(v) if x}) for v in b.int_rows]
         vecs = []
         for u in a.int_rows:
             xs = _support(u)
-            for v in b.int_rows:
-                w = self._bracket(xs, v)
-                # Zero brackets do not change the span, so they skip elimination.
-                if any(w):
-                    vecs.append(w)
+            linked = set().union(*(adj[i] for i, _ in xs))  # j with some [e_i, e_j] stored
+            for v, support in supports:
+                # A pair with no stored bracket between the supports brackets to zero,
+                # and zero brackets do not change the span.
+                if not linked.isdisjoint(support):
+                    w = self._bracket(xs, v)
+                    if any(w):
+                        vecs.append(w)
         return Subspace.span(vecs, self.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
@@ -307,15 +312,25 @@ class LieAlgebra:
         return self.bracket_spaces(self.full_space(), s).leq(s)
 
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:
-        """Smallest ideal containing the vectors: iterate s <- s + [L, new], where
-        `new`, the rows of s at new pivots, spans what the last round added."""
-        s = new = Subspace.span(vectors, self.dim)
-        full = self.full_space()
-        while not new.is_zero():
-            t = s.sum(self.bracket_spaces(full, new))
-            added = [r for r, p in zip(t.int_rows, t.pivots) if p not in s.pivots]
-            s, new = t, Subspace.span(added, self.dim)
-        return s
+        """Smallest ideal containing the vectors, grown one echelon row at a time.
+
+        Each row that `insert_row` adds is bracketed once with every e_i and the
+        nonzero brackets are inserted in turn, so the final span is closed under
+        [L, ·] and lies in the ideal the vectors generate (`notes/decisions.md`).
+        """
+        n, adj = self.dim, self.constants.adjoint
+        rows: dict[int, list[int]] = {}
+        todo = [integer_row(v) for v in vectors]
+        if any(len(v) != n for v in todo):
+            raise ValueError("vector length disagrees with ambient dimension")
+        for w in todo:  # grows while it is walked: the brackets of each added row
+            u = insert_row(rows, w)
+            if u is not None:
+                support = {j for j, x in enumerate(u) if x}
+                todo += [b for i in range(n) if not support.isdisjoint(adj[i])
+                         and any(b := self._bracket([(i, 1)], u))]  # D·[e_i, u]
+        pivots = sorted(rows)
+        return Subspace(n, [rows[p] for p in pivots], pivots)
 
     # -- adjoint and Killing form -----------------------------------------------
 

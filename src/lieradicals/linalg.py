@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals: one elimination kernel and the
 `Fraction` matrix type of the package's results.
 
-The workhorse is :func:`echelon_rows`, behind ``Subspace.span`` and
-:meth:`Matrix.rref`, which everything else (kernels, subspace lattices, series
-computations) is built on.  It scales each row to coprime integers
-(:func:`integer_row`), eliminates fraction-free in `_echelon`, and returns
-integer rows: ``fractions.Fraction`` values are made only when a row is divided
-by its pivot entry (:func:`divided`), for output, so every result is exact.
+The one elimination step is :func:`insert_row`: it adds an integer row to a
+table of fraction-free echelon rows keyed by pivot column (Bareiss 1968).
+:func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`, inserts
+each row, scaled to coprime integers (:func:`integer_row`), and sorts the table;
+``LieAlgebra.ideal_closure`` grows one table as it brackets.  Everything else
+(kernels, subspace lattices, series computations) is built on these, and
+``fractions.Fraction`` values are made only when a row is divided by its pivot
+entry (:func:`divided`), for output, so every result is exact.
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
 `killing_matrix`, `quotient` and `Subspace.basis` return, and it keeps only
 `rref`, `kernel`, `@`, `transpose`, `identity` and `is_zero` beyond element
@@ -51,46 +53,54 @@ def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
-def _echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss–Jordan on nonzero primitive integer rows (Bareiss 1968).
+def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None:
+    """Add the integer row w to `rows`, a table {pivot: primitive row, positive
+    there and zero at every other pivot}; return the row stored, or None.
 
-    Entry f is cleared against pivot p by row <- (p/g)·row − (f/g)·prow with
-    g = gcd(p, f), then the row is divided by its gcd.  Returns the echelon rows,
-    each positive at its pivot column and zero at every other one, and their
-    pivot columns.  A pivot row is made positive when it is chosen; later
-    updates multiply it by p/g > 0, so it stays positive.
+    w is reduced against the table, entry f against pivot p by
+    w <- (p/g)·w − (f/g)·row with g = gcd(p, f).  A nonzero remainder is made
+    primitive and positive at its first nonzero column c, cleared from the
+    other rows the same way (it is zero at their pivots, so they stay
+    positive there; each is then divided by its gcd) and stored at c.
     """
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        if prow[c] < 0:
-            rows[r] = prow = [-x for x in prow]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                g = gcd(p, row[c])
-                a, b = p // g, row[c] // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                h = gcd(*row)
-                rows[i] = [x // h for x in row] if h > 1 else row
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
+    for c, row in rows.items():
+        f = w[c]
+        if f:
+            p = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            w = [a * x - b * y for x, y in zip(w, row)]
+    c = next((i for i, x in enumerate(w) if x), None)
+    if c is None:
+        return None
+    h = gcd(*w) if w[c] > 0 else -gcd(*w)
+    if h != 1:
+        w = [x // h for x in w]
+    p = w[c]
+    for k, row in rows.items():
+        f = row[c]
+        if f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, w)]
+            h = gcd(*row)
+            rows[k] = [x // h for x in row] if h > 1 else row
+    rows[c] = w
+    return w
 
 
 def echelon_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Canonical integer echelon form of the span of int or Fraction rows.
+    """Canonical integer echelon form of the span of int or Fraction rows of length cols.
 
     Each row is primitive, positive at its pivot column and zero at the other
     pivot columns, so divided by its pivot entry it is the RREF row: the rows
-    and pivots depend on the row space alone.
+    and pivots depend on the row space alone, not on the order of insertion.
     """
-    red, pivots = _echelon([r for r in map(integer_row, rows) if any(r)], cols)
-    return red, tuple(pivots)
+    table: dict[int, list[int]] = {}
+    for r in rows:
+        insert_row(table, integer_row(r))
+    pivots = tuple(sorted(table))
+    return [table[c] for c in pivots], pivots
 
 
 def kernel_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> list:

@@ -3,7 +3,8 @@
 The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and are
 built here, apart from the package's own catalog; `rational-<name>` is the
 same algebra in a fixed dense basis whose constants carry denominators.  The
-reference routines are the package's earlier implementations of the RREF,
+reference routines are the package's earlier implementations of the RREF
+(over `Fraction`s, and the column sweep of the integer kernel),
 the Killing Gram matrix and its orthogonal, the upper extension, the axiom
 check, subspace intersection, the ideal closure, reduction modulo a subspace
 and the quotient algebra, kept as slow paths that the faster code is compared
@@ -15,6 +16,7 @@ that only these slow paths and the tests use (`apply`, `trace`, `rank`,
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from lieradicals.core import LieAlgebra, StructureConstants
 from lieradicals.linalg import Matrix, vector
@@ -239,6 +241,37 @@ def fraction_rref(mat: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == n_rows:
             break
     return Matrix.from_rows(m[:r], mat.cols), tuple(pivots)
+
+
+def column_sweep_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss–Jordan on nonzero primitive integer rows (Bareiss 1968).
+
+    Entry f is cleared against pivot p by row <- (p/g)·row − (f/g)·prow with
+    g = gcd(p, f), then the row is divided by its gcd.  Returns the echelon rows,
+    each positive at its pivot column and zero at every other one, and their
+    pivot columns.  A pivot row is made positive when it is chosen; later
+    updates multiply it by p/g > 0, so it stays positive.
+    """
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if prow[c] < 0:
+            rows[r] = prow = [-x for x in prow]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                g = gcd(p, row[c])
+                a, b = p // g, row[c] // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                h = gcd(*row)
+                rows[i] = [x // h for x in row] if h > 1 else row
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
 def stack(matrices, cols: int) -> Matrix:

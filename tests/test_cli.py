@@ -35,6 +35,15 @@ def test_analyze_text_output(good_file, capsys):
     assert "basis: x; y" in out
 
 
+def test_analyze_text_output_dimension_zero(tmp_path, capsys):
+    p = tmp_path / "zero.alg"
+    p.write_text("dim 0\n")
+    assert main(["analyze", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["dim 0", "basis"]
+    assert all(line == line.rstrip() for line in lines)
+
+
 def test_analyze_json_schema(good_file, capsys):
     assert main(["analyze", good_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

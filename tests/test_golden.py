@@ -3,7 +3,9 @@
 Each file under `tests/golden/` holds the exact stdout of one command:
 `analyze --json` on every catalog entry and on the matrix-unit algebras in
 `ANALYZE_FAMILIES`, some of them in a dense rational basis,
-`verify --json --samples 50 --seed 0` on every catalog entry, and
+`verify --json --samples 50 --seed 0` on every catalog entry and on the
+random-corpus algebras `random-<k>`, the k-th of
+`oracle.random_algebras(RANDOM_COUNT, 4, seed=0)`, and
 `verify --json --samples 10 --seed 0` on the larger algebras in
 `VERIFY_FAMILIES`, where P3.4, T2.6c and E2.2 have real work to do.  The
 `.txt` files hold the text output of `analyze` and of
@@ -18,11 +20,12 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from lieradicals import catalog
+from lieradicals import catalog, oracle
 from lieradicals.algfile import render_algebra
 from lieradicals.cli import main
 
@@ -33,6 +36,8 @@ ANALYZE_FAMILIES = ("sl3", "gl3", "b4", "n5", "gl4", *reference.RATIONAL)
 VERIFY_FAMILIES = ("b4", "n5", "gl4", "rational-b3", "rational-n5", "rational-gl3")
 VERIFY_ARGS = ("--samples", "50", "--seed", "0")
 VERIFY_FAMILY_ARGS = ("--samples", "10", "--seed", "0")
+RANDOM_COUNT = 12
+RANDOM = tuple(f"random-{k}" for k in range(RANDOM_COUNT))
 
 
 def _cases() -> list[tuple[str, str, str]]:
@@ -41,6 +46,7 @@ def _cases() -> list[tuple[str, str, str]]:
     cases += [(f"analyze-{n}", "analyze", n) for n in ANALYZE_FAMILIES]
     cases += [(f"verify-{n}", "verify", n) for n in catalog.names()]
     cases += [(f"verify-{n}", "verify", n) for n in VERIFY_FAMILIES]
+    cases += [(f"verify-{n}", "verify", n) for n in RANDOM]
     return cases
 
 
@@ -49,10 +55,17 @@ def _text_cases() -> list[tuple[str, str, str]]:
     return [(f"{c}-{n}", c, n) for c in ("analyze", "verify") for n in catalog.names()]
 
 
+@cache
+def _random_corpus() -> tuple:
+    return tuple(oracle.random_algebras(RANDOM_COUNT, 4, seed=0))
+
+
 def _algebra_text(source: str) -> str:
     if source in catalog.names():
         entry = catalog.get(source)
         return render_algebra(entry.algebra, name=entry.name)
+    if source in RANDOM:
+        return render_algebra(_random_corpus()[RANDOM.index(source)], name=source)
     return render_algebra(reference.build(source), name=source)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals.linalg import Matrix
+from lieradicals.linalg import Matrix, divided, echelon_rows, insert_row, integer_row
 
 import reference
 from reference import apply, is_zero_vector, rank, trace, vdot, zeros
@@ -143,6 +144,71 @@ def test_rref_matches_fraction_slow_path_on_random_matrices():
         assert (red, pivots) == reference.fraction_rref(m)
         ranks.add((len(pivots), m.rows))
     assert (0, 0) in ranks and (0, 3) in ranks and (7, 7) in ranks
+
+
+# -- one elimination step against the column sweep -----------------------------
+
+
+@st.composite
+def row_lists(draw, max_rows=5, max_cols=5, max_extra=3):
+    """(rows, cols): int or Fraction rows, with zero rows and repeats of drawn
+    rows (some scaled) mixed in at drawn places."""
+    cols = draw(st.integers(0, max_cols))
+    entry = draw(st.sampled_from((st.integers(-3, 3), small_fractions)))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, max_extra))):
+        if rows and draw(st.booleans()):
+            c = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+            extra = [c * x for x in draw(st.sampled_from(rows))]
+        else:
+            extra = [0] * cols
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows, cols
+
+
+def _check_table(table, cols):
+    """Each row primitive, positive at its pivot and zero at every other pivot."""
+    for c, row in table.items():
+        assert len(row) == cols and row[c] > 0 and integer_row(row) == row
+        assert all(row[k] == 0 for k in table if k != c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_echelon_rows_match_column_sweep_and_fraction_rref(case):
+    rows, cols = case
+    red, pivots = echelon_rows(rows, cols)
+    ints = [r for r in map(integer_row, rows) if any(r)]
+    assert (red, list(pivots)) == reference.column_sweep_echelon(ints, cols)
+    rref = Matrix.from_rows([divided(r, r[p]) for r, p in zip(red, pivots)], cols)
+    assert (rref, pivots) == reference.fraction_rref(Matrix.from_rows(rows, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_lists(max_rows=4, max_extra=2))
+def test_echelon_rows_do_not_depend_on_row_order(case):
+    rows, cols = case
+    expected = echelon_rows(rows, cols)
+    for order in itertools.permutations(rows):
+        assert echelon_rows(order, cols) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists())
+def test_insert_row_adds_exactly_the_independent_rows(case):
+    rows, cols = case
+    table, rank = {}, 0
+    for k, r in enumerate(rows):
+        before = dict(table)
+        added = insert_row(table, integer_row(r))
+        new_rank = len(reference.fraction_rref(Matrix.from_rows(rows[: k + 1], cols))[1])
+        if added is None:
+            assert table == before
+        else:
+            assert table[min(i for i, x in enumerate(added) if x)] is added
+        assert (added is not None) == (new_rank > rank) and len(table) == new_rank
+        _check_table(table, cols)
+        rank = new_rank
 
 
 # -- kernel ----------------------------------------------------------------

@@ -9,9 +9,10 @@ and abelian algebras.  `LieAlgebra.validate`, which skips the Jacobi triples
 that touch no nonzero bracket and works on the constants scaled to integers,
 is compared with the check over every pair and triple on random raw tables,
 most of them invalid, with integer constants and with denominators.
-`LieAlgebra.ideal_closure`, which brackets L only with what the last round
-added, is compared with `reference.naive_ideal_closure`, which brackets L
-with the whole subspace every round, on random vectors of every input.
+`LieAlgebra.ideal_closure`, which brackets L once with each echelon row it
+adds, is compared with `reference.naive_ideal_closure`, which brackets L
+with the whole subspace every round, on random vectors of every input and,
+under hypothesis, of random-corpus algebras in their own and a rational basis.
 
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce`, `coordinates` and
@@ -32,6 +33,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieradicals import catalog, linalg, subspace
 from lieradicals.subspace import Subspace
@@ -182,6 +185,26 @@ def test_ideal_closure_matches_naive_iteration(name, L):
         vecs = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 3))) for _ in range(L.dim)]
                 for _ in range(count)]
         assert L.ideal_closure(vecs) == reference.naive_ideal_closure(L, vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 9), st.booleans(), st.data())
+def test_ideal_closure_matches_naive_iteration_on_random_algebras(seed, k, rational, data):
+    """The k-th algebra of a random corpus, in its own or the rational basis,
+    on 0 to 3 int or Fraction vectors with repeats and zero vectors."""
+    L = random_algebras(k + 1, 4, seed)[k]
+    if rational:
+        L = reference.rebase(L)
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=L.dim, max_size=L.dim), max_size=3))
+    vecs += vecs[:data.draw(st.integers(0, 1))]
+    assert L.ideal_closure(vecs) == reference.naive_ideal_closure(L, vecs)
+
+
+@pytest.mark.parametrize("vecs", [[(1, 0)], [(1, 0, 0), (1, 0, 0, 0)]])
+def test_ideal_closure_length_mismatch(vecs):
+    with pytest.raises(ValueError, match="vector length disagrees"):
+        catalog.get("s3_2").algebra.ideal_closure(vecs)
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import catalog as _catalog
@@ -174,6 +175,7 @@ def cmd_catalog(name: str | None) -> int:
     return EXIT_OK
 
 
+@cache  # built on first use and kept: each `main` call only parses its argv
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieradicals",
@@ -201,9 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep those codes.
         return int(exc.code or 0)

@@ -308,8 +308,17 @@ class LieAlgebra:
         return Subspace.span(vecs, self.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
-        """True iff [L, s] is contained in s."""
-        return self.bracket_spaces(self.full_space(), s).leq(s)
+        """True iff [L, s] is contained in s: by bilinearity, iff every nonzero
+        D·[e_i, r] for a basis row r of s reduces to zero modulo s."""
+        if s.ambient_dim != self.dim:
+            raise ValueError("subspace ambient dimension disagrees with the algebra")
+        return not any(any(s._reduce(b)) for r in s.int_rows for b in self._basis_brackets(r))
+
+    def _basis_brackets(self, u: Sequence[int]) -> list[list[int]]:
+        """The nonzero D·[e_i, u], formed only for i with a stored [e_i, e_j] on u's support."""
+        adj, support = self.constants.adjoint, {j for j, x in enumerate(u) if x}
+        return [b for i in range(self.dim) if not support.isdisjoint(adj[i])
+                and any(b := self._bracket([(i, 1)], u))]
 
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:
         """Smallest ideal containing the vectors, grown one echelon row at a time.
@@ -317,18 +326,19 @@ class LieAlgebra:
         Each row that `insert_row` adds is bracketed once with every e_i and the
         nonzero brackets are inserted in turn, so the final span is closed under
         [L, ·] and lies in the ideal the vectors generate (`notes/decisions.md`).
+        Once the table has rank n its span is L, an ideal, and the loop stops.
         """
-        n, adj = self.dim, self.constants.adjoint
+        n = self.dim
         rows: dict[int, list[int]] = {}
         todo = [integer_row(v) for v in vectors]
         if any(len(v) != n for v in todo):
             raise ValueError("vector length disagrees with ambient dimension")
         for w in todo:  # grows while it is walked: the brackets of each added row
             u = insert_row(rows, w)
+            if len(rows) == n:
+                return Subspace.full(n)
             if u is not None:
-                support = {j for j, x in enumerate(u) if x}
-                todo += [b for i in range(n) if not support.isdisjoint(adj[i])
-                         and any(b := self._bracket([(i, 1)], u))]  # D·[e_i, u]
+                todo += self._basis_brackets(u)
         pivots = sorted(rows)
         return Subspace(n, [rows[p] for p in pivots], pivots)
 

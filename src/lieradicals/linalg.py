@@ -43,7 +43,7 @@ def numerators(row: Sequence) -> tuple[list[int], int]:
 
 def integer_row(row: Sequence) -> list[int]:
     """Coprime integers on the line of an int or Fraction row (0s for a zero row)."""
-    ints, _ = numerators(row)
+    ints = list(row) if all(isinstance(x, int) for x in row) else numerators(row)[0]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -53,7 +53,7 @@ def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
-def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None:
+def insert_row(rows: dict[int, list[int]], w: Sequence[int], primitive=False) -> list[int] | None:
     """Add the integer row w to `rows`, a table {pivot: primitive row, positive
     there and zero at every other pivot}; return the row stored, or None.
 
@@ -61,7 +61,9 @@ def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None
     w <- (p/g)·w − (f/g)·row with g = gcd(p, f).  A nonzero remainder is made
     primitive and positive at its first nonzero column c, cleared from the
     other rows the same way (it is zero at their pivots, so they stay
-    positive there; each is then divided by its gcd) and stored at c.
+    positive there; each is then divided by its gcd) and stored at c.  Pass
+    `primitive` for a w of coprime entries: if no update touched it, only its
+    sign is fixed.
     """
     for c, row in rows.items():
         f = w[c]
@@ -70,10 +72,12 @@ def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None
             g = gcd(p, f)
             a, b = p // g, f // g
             w = [a * x - b * y for x, y in zip(w, row)]
+            primitive = False
     c = next((i for i, x in enumerate(w) if x), None)
     if c is None:
         return None
-    h = gcd(*w) if w[c] > 0 else -gcd(*w)
+    h = 1 if primitive else gcd(*w)
+    h = h if w[c] > 0 else -h
     if h != 1:
         w = [x // h for x in w]
     p = w[c]
@@ -98,7 +102,7 @@ def echelon_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], 
     """
     table: dict[int, list[int]] = {}
     for r in rows:
-        insert_row(table, integer_row(r))
+        insert_row(table, integer_row(r), primitive=True)
     pivots = tuple(sorted(table))
     return [table[c] for c in pivots], pivots
 

@@ -13,6 +13,7 @@ are made only on request (`basis`, `rows()`, `reduce`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -50,6 +51,7 @@ class Subspace:
         return cls(ambient_dim, (), ())
 
     @classmethod
+    @cache  # subspaces are immutable, so one full space per dimension serves all
     def full(cls, ambient_dim: int) -> "Subspace":
         n = ambient_dim
         return cls(n, [[int(i == j) for j in range(n)] for i in range(n)], range(n))

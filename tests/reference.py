@@ -6,9 +6,9 @@ same algebra in a fixed dense basis whose constants carry denominators.  The
 reference routines are the package's earlier implementations of the RREF
 (over `Fraction`s, and the column sweep of the integer kernel),
 the Killing Gram matrix and its orthogonal, the upper extension, the axiom
-check, subspace intersection, the ideal closure, reduction modulo a subspace
-and the quotient algebra, kept as slow paths that the faster code is compared
-against entry by entry.  The dense `Fraction` matrix and vector arithmetic
+check, subspace intersection, the ideal closure and ideal test, reduction
+modulo a subspace and the quotient algebra, kept as slow paths that the
+faster code is compared against entry by entry.  The dense `Fraction` matrix and vector arithmetic
 that only these slow paths and the tests use (`apply`, `trace`, `rank`,
 `zeros`, `vdot`, ...) are plain functions here, apart from `Matrix`.
 """
@@ -300,6 +300,11 @@ def naive_ideal_closure(L: LieAlgebra, vectors) -> Subspace:
         if t == s:
             return s
         s = t
+
+
+def naive_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    """[L, s] ⊆ s, by building and echelonizing [L, s] first."""
+    return L.bracket_spaces(L.full_space(), s).leq(s)
 
 
 def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:

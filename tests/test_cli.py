@@ -274,6 +274,44 @@ def test_usage_error_exit_2(capsys):
     assert main(["analyze"]) == 2
 
 
+_CALLS_SCRIPT = """
+import contextlib, io, json, sys
+from lieradicals.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _main_calls(argvs: list) -> list:
+    """(exit code, stdout, stderr) of each `main(argv)`, in sequence in one new process."""
+    src = str(Path(lieradicals.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", _CALLS_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_parser_is_built_once_and_reused_calls_match_fresh_processes(good_file):
+    assert cli._build_parser() is cli._build_parser()
+    argvs = [
+        ["analyze"],
+        ["--help"],
+        ["verify", good_file, "--samples", "0"],
+        ["analyze", good_file, "--json"],
+        ["verify", good_file, "--json"],
+        ["catalog"],
+    ]
+    in_sequence = _main_calls(argvs)
+    assert [rc for rc, _, _ in in_sequence] == [2, 0, 2, 0, 0, 0]
+    assert in_sequence == [_main_calls([argv])[0] for argv in argvs]
+
+
 def test_module_entry_point_runs():
     # Run the package under test, wherever it was imported from.
     src = str(Path(lieradicals.__file__).resolve().parents[1])

@@ -211,6 +211,26 @@ def test_insert_row_adds_exactly_the_independent_rows(case):
         rank = new_rank
 
 
+@settings(max_examples=150, deadline=None)
+@given(row_lists())
+def test_insert_row_of_primitive_rows_skips_only_a_redundant_gcd(case):
+    """Rows of coprime integers, of either sign, give the same table with and
+    without `primitive`."""
+    rows, cols = case
+    plain, flagged = {}, {}
+    for r in map(integer_row, rows):
+        assert insert_row(plain, r) == insert_row(flagged, r, primitive=True)
+        assert plain == flagged
+        _check_table(flagged, cols)
+
+
+@given(st.lists(st.integers(-10**20, 10**20), max_size=6))
+def test_integer_row_of_ints_matches_the_fraction_path(ints):
+    expected = integer_row([Fraction(x) for x in ints])
+    got = integer_row(ints)
+    assert got == expected and type(got) is list and all(type(x) is int for x in got)
+
+
 # -- kernel ----------------------------------------------------------------
 
 

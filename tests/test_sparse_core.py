@@ -12,7 +12,11 @@ most of them invalid, with integer constants and with denominators.
 `LieAlgebra.ideal_closure`, which brackets L once with each echelon row it
 adds, is compared with `reference.naive_ideal_closure`, which brackets L
 with the whole subspace every round, on random vectors of every input and,
-under hypothesis, of random-corpus algebras in their own and a rational basis.
+under hypothesis, of random-corpus algebras in their own and a rational basis,
+and on generators of L that bring its table to rank n early, where it must
+stop.  `LieAlgebra.is_ideal`, which reduces each bracket [e_i, r] modulo the
+subspace, is compared with `reference.naive_is_ideal`, which echelonizes
+[L, s] first, on ideals, lines and random spans of the same inputs.
 
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce`, `coordinates` and
@@ -36,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals import catalog, linalg, subspace
+from lieradicals import catalog, core, linalg, subspace
 from lieradicals.subspace import Subspace
 from lieradicals.core import LieAlgebra, StructureConstants
 from lieradicals.linalg import Matrix
@@ -205,6 +209,74 @@ def test_ideal_closure_matches_naive_iteration_on_random_algebras(seed, k, ratio
 def test_ideal_closure_length_mismatch(vecs):
     with pytest.raises(ValueError, match="vector length disagrees"):
         catalog.get("s3_2").algebra.ideal_closure(vecs)
+
+
+def _lines(L) -> list:
+    """span(e_j) and span(e_0 + e_k).  If all were ideals, every ad x would be
+    one scalar on L, zero since [x, x] = 0; so some line fails unless L is abelian."""
+    n = L.dim
+    vecs = [[int(i == j) for i in range(n)] for j in range(n)]
+    vecs += [[int(i in (0, k)) for i in range(n)] for k in range(1, n)]
+    return [Subspace.span([v], n) for v in vecs]
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_is_ideal_matches_naive_test(name, L):
+    """On the series terms and the radical, on lines, and on spans of random
+    vectors alone and joined to part of an ideal's basis."""
+    rng = random.Random(name)
+    ideals = _ideals(L)
+    assert all(L.is_ideal(s) for s in ideals)
+    spaces = _lines(L)
+    for _ in range(3):
+        vecs = [[rng.randint(-1, 1) for _ in range(L.dim)] for _ in range(rng.randint(1, 2))]
+        base = rng.choice(ideals).int_rows
+        spaces += [Subspace.span(vecs, L.dim), Subspace.span([*base[1:], vecs[0]], L.dim)]
+    outcomes = [L.is_ideal(s) for s in spaces]
+    assert outcomes == [reference.naive_is_ideal(L, s) for s in spaces]
+    assert (False in outcomes) == any(L.constants.adjoint)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 9), st.booleans(), st.data())
+def test_is_ideal_matches_naive_test_on_random_algebras(seed, k, rational, data):
+    """Spans of 1 to 3 int or Fraction vectors of a random-corpus algebra, in
+    its own or the rational basis, and the ideals they generate."""
+    L = random_algebras(k + 1, 4, seed)[k]
+    if rational:
+        L = reference.rebase(L)
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=L.dim, max_size=L.dim),
+                              min_size=1, max_size=3))
+    for s in (Subspace.span(vecs, L.dim), L.ideal_closure(vecs)):
+        assert L.is_ideal(s) == reference.naive_is_ideal(L, s)
+
+
+def test_is_ideal_length_mismatch():
+    with pytest.raises(ValueError, match="ambient dimension disagrees"):
+        catalog.get("s3_2").algebra.is_ideal(Subspace.zero(2))
+
+
+@pytest.mark.parametrize("name", ["gl3", "b4", "rational-b3", "rational-gl3"])
+def test_ideal_closure_stops_at_rank_n(name, monkeypatch):
+    """The basis vectors off the pivots of [L, L] generate L here; the closure
+    inserts nothing after its table reaches rank n and matches the naive loop."""
+    L = reference.build(name)
+    n, derived = L.dim, L.bracket_spaces(L.full_space(), L.full_space())
+    vecs = [[int(i == c) for i in range(n)] for c in derived.free_columns()]
+    ranks = []
+    insert_row = core.insert_row
+
+    def record(rows, w):
+        added = insert_row(rows, w)
+        ranks.append(len(rows))
+        return added
+
+    monkeypatch.setattr(core, "insert_row", record)
+    closed = L.ideal_closure(vecs)
+    monkeypatch.undo()
+    assert closed == reference.naive_ideal_closure(L, vecs) == L.full_space()
+    assert ranks.index(n) == len(ranks) - 1
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)

@@ -78,6 +78,13 @@ def test_sum_idempotent():
     assert a + a == a
 
 
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_full_is_built_once_per_dimension(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert Subspace.full(n) is Subspace.full(n)
+    assert Subspace.full(n) == Subspace.span(identity, n) and Subspace.full(n).is_full()
+
+
 def test_intersect_with_full():
     a = span((1, 2, 3))
     assert a.intersect(Subspace.full(3)) == a

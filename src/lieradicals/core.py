@@ -8,18 +8,17 @@ to a subalgebra, and quotients by ideals.
 
 `StructureConstants` holds the one copy of the constants: a sparse table of
 integers, ``adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the
-common denominator D of all the constants, built once at construction from
-the nonzero brackets.  `Fraction`s are made from it only on request
-(`bracket_basis`, `pairs`).  Brackets of vectors, the axiom check and the
-Killing Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras:
-Theory and Algorithms*, ch. 1) walk only its nonzero entries, and the upper
-extension in `series` visits only the stored nonzero brackets, so their work
-grows with the number of nonzero structure constants rather than with powers
-of the dimension: an abelian algebra costs next to nothing at any size.
-Scaling by D keeps antisymmetry, Jacobi, spans and kernels, so `validate`,
-`bracket_spaces` and `killing_orthogonal` (on the Gram rows D²·K) run on
-integers alone, as do the integer rows of `Subspace`; `bracket` divides by D
-once, the Killing form by D².
+common denominator D of all the constants.  Its constructor is the one place
+a table is normalised; `from_brackets` adds the reverse orientations to its
+integers, and `restrict` and `_quotient` compute their new constants in
+integers and divide them once by a common scalar.  `Fraction`s are made from
+the table only on request (`bracket_basis`, `pairs`).  Brackets of vectors,
+the axiom check, the Killing Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl
+(de Graaf, *Lie Algebras: Theory and Algorithms*, ch. 1) and the upper
+extension in `series` walk only its nonzero entries, so an abelian algebra
+costs next to nothing at any size.  Scaling by D keeps antisymmetry, Jacobi,
+spans and kernels, so these and the `Subspace` rows run on integers alone;
+`bracket` divides by D once, the Killing form by D².
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -101,34 +100,20 @@ class StructureConstants:
     def from_brackets(
         cls, dim: int, brackets: Mapping[tuple[int, int], Sequence]
     ) -> "StructureConstants":
-        """Build from one orientation per pair; the reverse is derived.
+        """Build from one orientation per pair; the constructor's integer
+        table is completed by [e_j, e_i] = −[e_i, e_j].
 
-        Supplying both orientations with inconsistent values is an error.
-        Consistent double definitions are accepted.  Nonzero diagonal entries
+        Supplying both orientations with inconsistent values is an error;
+        consistent double definitions are accepted.  Nonzero diagonal entries
         are stored as given so that validation can report them.
         """
-        table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for (i, j), v in brackets.items():
-            vec = vector(v)
-            if len(vec) != dim:
-                raise ValueError("bracket coefficient vector has wrong length")
-            if not any(vec):
-                continue
-            if i == j:
-                table[(i, j)] = vec
-                continue
-            neg = tuple(-x for x in vec)
-            if (i, j) in table:
-                if table[(i, j)] != vec:
+        constants = cls(dim, brackets)
+        for i, row in enumerate(constants.adjoint):
+            for j, col in row.items():
+                neg = {k: -a for k, a in col.items()}
+                if i != j and constants.adjoint[j].setdefault(i, neg) != neg:
                     raise ValueError(f"conflicting definitions for bracket ({i}, {j})")
-                continue
-            table[(i, j)] = vec
-            if (j, i) in table:
-                if table[(j, i)] != neg:
-                    raise ValueError(f"conflicting definitions for bracket ({i}, {j})")
-            else:
-                table[(j, i)] = neg
-        return cls(dim, table)
+        return constants
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coordinate vector of Fractions."""
@@ -262,6 +247,10 @@ class LieAlgebra:
         v[i] = Fraction(1)
         return tuple(v)
 
+    def _check_ambient(self, *spaces: Subspace) -> None:
+        if any(s.ambient_dim != self.dim for s in spaces):
+            raise ValueError("subspace ambient dimension disagrees with the algebra")
+
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
@@ -290,8 +279,7 @@ class LieAlgebra:
 
     def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of the pairwise brackets of the two bases: the ideal product."""
-        if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
-            raise ValueError("subspace ambient dimension disagrees with the algebra")
+        self._check_ambient(a, b)
         adj = self.constants.adjoint
         supports = [(v, {j for j, x in enumerate(v) if x}) for v in b.int_rows]
         vecs = []
@@ -310,8 +298,7 @@ class LieAlgebra:
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: by bilinearity, iff every nonzero
         D·[e_i, r] for a basis row r of s reduces to zero modulo s."""
-        if s.ambient_dim != self.dim:
-            raise ValueError("subspace ambient dimension disagrees with the algebra")
+        self._check_ambient(s)
         return not any(any(s._reduce(b)) for r in s.int_rows for b in self._basis_brackets(r))
 
     def _basis_brackets(self, u: Sequence[int]) -> list[list[int]]:
@@ -387,8 +374,7 @@ class LieAlgebra:
 
     def killing_orthogonal(self, s: Subspace) -> Subspace:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""
-        if s.ambient_dim != self.dim:
-            raise ValueError("subspace ambient dimension disagrees with the algebra")
+        self._check_ambient(s)
         # K is symmetric, so the constraint of a basis row y is D²·K applied to y.
         constraints = [[sum(c * y[j] for j, c in g.items()) for g in self._killing]
                        for y in s.int_rows]
@@ -399,26 +385,26 @@ class LieAlgebra:
     def restrict(self, s: Subspace) -> "LieAlgebra":
         """The Lie algebra structure induced on a bracket-closed subspace.
 
-        The new basis is s's RREF basis; coordinates of each bracket against
-        that basis give the restricted constants.  Raises NotClosedError if
-        [s, s] is not contained in s.
+        The new basis is s's RREF basis b_r.  For B_r = δ·b_r, D·[B_p, B_q] is
+        D·δ²·[b_p, b_q]; its entries at the pivots over D·δ² are the constants.
+        Raises NotClosedError if [s, s] is not contained in s.
         """
-        if s.ambient_dim != self.dim:
-            raise ValueError("subspace ambient dimension disagrees with the algebra")
-        if not self.bracket_spaces(s, s).leq(s):
-            raise NotClosedError("subspace is not closed under the bracket")
-        rows = s.rows()
-        table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for p in range(len(rows)):
-            for q in range(p + 1, len(rows)):
-                v = self.bracket(rows[p], rows[q])
-                coords = s.coordinates(v)
-                assert coords is not None  # guaranteed by closure
-                table[(p, q)] = coords
+        self._check_ambient(s)
+        d = s._delta
+        rows = [[(d // r[p]) * x for x in r] for r, p in zip(s.int_rows, s.pivots)]
+        scale, table = self.constants.denominator * d * d, {}
+        for p, xs in enumerate(map(_support, rows)):
+            for q, v in enumerate(rows):
+                w = self._bracket(xs, v)
+                if any(s._reduce(w)):
+                    raise NotClosedError("subspace is not closed under the bracket")
+                if p < q:
+                    table[(p, q)] = divided([w[c] for c in s.pivots], scale)
         return LieAlgebra(StructureConstants.from_brackets(s.dim, table))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
         """Map restricted coordinates back to ambient coordinates."""
+        self._check_ambient(s)
         coords = vector(coords)
         if len(coords) != s.dim:
             raise ValueError("coordinate length disagrees with the subspace dimension")
@@ -439,14 +425,16 @@ class LieAlgebra:
         return self._quotient(ideal), ideal.quotient_projection()
 
     def _quotient(self, ideal: Subspace) -> "LieAlgebra":
-        """L / ideal for a known ideal: the quotient coordinates of v are the
-        non-pivot ones of `ideal.reduce(v)`, taken of the stored brackets only."""
-        non_pivots = ideal.free_columns()
-        index = {c: a for a, c in enumerate(non_pivots)}
-        table: dict[tuple[int, int], list[Fraction]] = {}
-        for i, j, v in self.constants.pairs():
-            if i in index and j in index:
-                w = ideal.reduce(v)
-                table[(index[i], index[j])] = [w[c] for c in non_pivots]
-        labels = tuple(self.labels[c] for c in non_pivots)
-        return LieAlgebra(StructureConstants.from_brackets(len(non_pivots), table), labels)
+        """L / ideal for a known ideal: the quotient coordinates of [e_i, e_j] are
+        its free entries mod the ideal.  `ideal._reduce` of the stored integers
+        D·[e_i, e_j] is δ·D·([e_i, e_j] mod I), so they are divided by δ·D."""
+        n, free = self.dim, ideal.free_columns()
+        index = {c: a for a, c in enumerate(free)}
+        scale, table = ideal._delta * self.constants.denominator, {}
+        for i, row in enumerate(self.constants.adjoint):
+            for j, col in row.items():
+                if i < j and i in index and j in index:
+                    w = ideal._reduce([col.get(k, 0) for k in range(n)])
+                    table[(index[i], index[j])] = divided([w[c] for c in free], scale)
+        labels = tuple(self.labels[c] for c in free)
+        return LieAlgebra(StructureConstants.from_brackets(len(free), table), labels)

@@ -277,8 +277,8 @@ def profile(L: LieAlgebra) -> ProfileReport:
     der = derived_series(L)
     low = lower_central_series(L)
     upp = upper_central_series(L)
-    rad = radical(L)
-    d1 = der.terms[1]  # D(L)
+    d1 = der.terms[1]  # D(L) = [L, L], formed once here
+    rad = L.killing_orthogonal(d1)  # radical(L)
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple
     # also cross-checks that against the form's kernel, which tests exercise.
     return ProfileReport(

@@ -7,8 +7,9 @@ reference routines are the package's earlier implementations of the RREF
 (over `Fraction`s, and the column sweep of the integer kernel),
 the Killing Gram matrix and its orthogonal, the upper extension, the axiom
 check, subspace intersection, the ideal closure and ideal test, reduction
-modulo a subspace and the quotient algebra, kept as slow paths that the
-faster code is compared against entry by entry.  The dense `Fraction` matrix and vector arithmetic
+modulo a subspace, the quotient algebra, and the construction of constants
+from one orientation per pair and by restriction through `Fraction` tables,
+kept as slow paths that the faster code is compared against entry by entry.  The dense `Fraction` matrix and vector arithmetic
 that only these slow paths and the tests use (`apply`, `trace`, `rank`,
 `zeros`, `vdot`, ...) are plain functions here, apart from `Matrix`.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from lieradicals.core import LieAlgebra, StructureConstants
+from lieradicals.core import LieAlgebra, NotClosedError, StructureConstants
 from lieradicals.linalg import Matrix, vector
 from lieradicals.subspace import Subspace
 
@@ -415,3 +416,47 @@ def dense_quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
             table[(a, b_)] = apply(proj, w)
     labels = tuple(L.labels[c] for c in non_pivots)
     return LieAlgebra(StructureConstants.from_brackets(d, table), labels), proj
+
+
+def fraction_from_brackets(dim: int, brackets) -> StructureConstants:
+    """`StructureConstants.from_brackets` through a dense `Fraction` table:
+    each given vector and its negation, checked against the other orientation."""
+    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    for (i, j), v in brackets.items():
+        vec = vector(v)
+        if len(vec) != dim:
+            raise ValueError("bracket coefficient vector has wrong length")
+        if not any(vec):
+            continue
+        if i == j:
+            table[(i, j)] = vec
+            continue
+        neg = tuple(-x for x in vec)
+        if (i, j) in table:
+            if table[(i, j)] != vec:
+                raise ValueError(f"conflicting definitions for bracket ({i}, {j})")
+            continue
+        table[(i, j)] = vec
+        if (j, i) in table:
+            if table[(j, i)] != neg:
+                raise ValueError(f"conflicting definitions for bracket ({i}, {j})")
+        else:
+            table[(j, i)] = neg
+    return StructureConstants(dim, table)
+
+
+def fraction_restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
+    """`LieAlgebra.restrict` by echelonizing [s, s] to test closure, then taking
+    the `Fraction` coordinates of each bracket of RREF rows."""
+    if s.ambient_dim != L.dim:
+        raise ValueError("subspace ambient dimension disagrees with the algebra")
+    if not L.bracket_spaces(s, s).leq(s):
+        raise NotClosedError("subspace is not closed under the bracket")
+    rows = s.rows()
+    table = {}
+    for p in range(len(rows)):
+        for q in range(p + 1, len(rows)):
+            coords = s.coordinates(L.bracket(rows[p], rows[q]))
+            assert coords is not None  # guaranteed by closure
+            table[(p, q)] = coords
+    return LieAlgebra(fraction_from_brackets(s.dim, table))

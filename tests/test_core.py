@@ -83,6 +83,13 @@ def test_consistent_double_definition_accepted():
     assert c.bracket_basis(0, 1) == (F(0), F(1))
 
 
+@pytest.mark.parametrize("dim,table", [(2, {(5, 0): (0, 0)}), (0, {(0, 0): ()})])
+def test_from_brackets_rejects_out_of_range_pair_with_zero_vector(dim, table):
+    for build in (StructureConstants, StructureConstants.from_brackets):
+        with pytest.raises(ValueError, match="out of range"):
+            build(dim, table)
+
+
 def test_labels_must_be_unique():
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(2, {}, labels=("a", "a"))
@@ -311,6 +318,12 @@ def test_restrict_embedding_preserves_brackets(sl2s32):
         assert L.embed(s, r.bracket(u, w)) == L.bracket(
             L.embed(s, u), L.embed(s, w)
         )
+
+
+def test_embed_checks_the_ambient_dimension(sl2):
+    for s, coords in ((Subspace.full(4), (1, 2, 3, 4)), (Subspace.full(2), (1, 2))):
+        with pytest.raises(ValueError, match="ambient dimension disagrees"):
+            sl2.embed(s, coords)
 
 
 def test_quotient_by_zero_is_the_algebra(s32):

@@ -21,8 +21,13 @@ subspace, is compared with `reference.naive_is_ideal`, which echelonizes
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce`, `coordinates` and
 `contains` with `reference.fraction_reduce` on every subspace that `profile`
-builds, `killing_orthogonal` with the dense `Fraction` Gram matrix, and the
-sparse `quotient` with `reference.dense_quotient`, which projects every pair.
+builds, `killing_orthogonal` with the dense `Fraction` Gram matrix, the
+sparse `quotient` with `reference.dense_quotient`, which projects every pair,
+and `restrict`, which brackets scaled integer rows, with
+`reference.fraction_restrict`, which takes `Fraction` coordinates, on the
+ideals `verify` restricts to and on spans that may not be closed.
+`from_brackets`, which completes the constructor's integer table, is compared
+with `reference.fraction_from_brackets` on random tables under hypothesis.
 
 `validate` and `reference.dense_validate` read the same integer table, so the
 table itself is checked against the raw input it was built from: every
@@ -85,6 +90,15 @@ def _ideals(L):
     return list(dict.fromkeys(found))
 
 
+def _structure_ideals(name, L):
+    """`_ideals`, then R(L) ∩ P(L), [L, R] and three random ideals: the ideals
+    that `verify` restricts to and factors out."""
+    rad, perfect = radical(L), derived_series(L).stable_term
+    rng = random.Random(name)
+    found = _ideals(L) + [rad.intersect(perfect), L.bracket_spaces(L.full_space(), rad)]
+    return list(dict.fromkeys(found + [random_ideal(L, rng.randrange(2**32)) for _ in range(3)]))
+
+
 def test_inputs_cover_the_families():
     assert len(FAMILY_NAMES) == 15
     assert {"gl4", "sl3", "b5", "n6"} <= set(FAMILY_NAMES)
@@ -121,13 +135,54 @@ def test_killing_orthogonal_matches_fraction_gram(name, L):
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_quotient_matches_dense_projection(name, L):
-    rng = random.Random(name)
-    ideals = _ideals(L) + [random_ideal(L, rng.randrange(2**32)) for _ in range(3)]
-    for ideal in ideals:
+    for ideal in _structure_ideals(name, L):
         q, proj = L.quotient(ideal)
         expected_q, expected_proj = reference.dense_quotient(L, ideal)
         assert q == expected_q and proj == expected_proj
         assert L._quotient(ideal) == expected_q
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_restrict_matches_fraction_coordinates(name, L):
+    """On the ideals `verify` restricts to, then on lines and random spans,
+    closed or not."""
+    for s in _structure_ideals(name, L):
+        assert L.restrict(s) == reference.fraction_restrict(L, s)
+    rng = random.Random(name)
+    spaces = _lines(L) + [Subspace.span([[rng.randint(-1, 1) for _ in range(L.dim)]
+                                         for _ in range(rng.randint(1, 3))], L.dim)
+                          for _ in range(3)]
+    outcomes = [_outcome(LieAlgebra.restrict, L, s) for s in spaces]
+    assert outcomes == [_outcome(reference.fraction_restrict, L, s) for s in spaces]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own", "rational", "raw")),
+       st.data())
+def test_restrict_matches_fraction_coordinates_on_random_spans(seed, k, basis, data):
+    """Spans of 1 to 3 int or Fraction vectors, and the ideals they generate, in
+    a random-corpus algebra, its rational basis, or a random raw table whose
+    [x, x] need not vanish; NotClosedError exactly when the reference raises it."""
+    L = random_algebras(k + 1, 4, seed)[k]
+    if basis == "rational":
+        L = reference.rebase(L)
+    elif basis == "raw":
+        dim, table = next(_random_tables(1, seed, RATIONAL_VALUES))
+        L = LieAlgebra(StructureConstants(dim, table))
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=L.dim, max_size=L.dim),
+                              min_size=1, max_size=3))
+    for s in (Subspace.span(vecs, L.dim), L.ideal_closure(vecs)):
+        got = _outcome(LieAlgebra.restrict, L, s)
+        assert got == _outcome(reference.fraction_restrict, L, s)
 
 
 def _profile_subspaces(monkeypatch) -> list:
@@ -419,3 +474,35 @@ def test_tensor_gives_back_the_defining_brackets(name, L):
 def test_tensor_gives_back_raw_tables(values):
     for dim, table in _random_tables(800, 13, values):
         _check_tensor(dim, table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_from_brackets_matches_fraction_table(dim, data):
+    """Random tables of int, `Fraction` and str entries with zero vectors,
+    diagonal entries, both orientations of some pairs (consistent or not, the
+    negation spelled as a `Fraction` or a str), wrong lengths and indices out
+    of range.  The one difference from the `Fraction` table: a pair out of
+    range is rejected even when its vector is zero."""
+    indices = st.sampled_from([*range(dim)] * 4 + [-1, dim])
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3), "3/4", "-1", "0"))
+    lengths = st.sampled_from([dim] * 8 + [dim + 1] + [dim - 1] * (dim > 0))
+
+    def draw_vector():
+        return data.draw(st.lists(entry, min_size=(n := data.draw(lengths)), max_size=n))
+
+    table = {data.draw(st.tuples(indices, indices)): draw_vector()
+             for _ in range(data.draw(st.integers(0, 6)))}
+    for (i, j), v in list(table.items()):
+        neg = [-Fraction(x) for x in v]
+        reverse = data.draw(st.sampled_from((None, neg, [str(x) for x in neg], "other")))
+        if reverse is not None:
+            table[(j, i)] = draw_vector() if reverse == "other" else reverse
+    got = _outcome(StructureConstants.from_brackets, dim, table)
+    expected = _outcome(reference.fraction_from_brackets, dim, table)
+    out_of_range = [v for (i, j), v in table.items() if not (0 <= i < dim and 0 <= j < dim)]
+    if out_of_range:
+        assert got is ValueError
+        assert expected is ValueError or not any(Fraction(x) for v in out_of_range for x in v)
+    else:
+        assert got == expected

@@ -31,19 +31,14 @@ EXIT_VIOLATED = 3
 
 
 def format_vector(row: Sequence[Fraction], labels: Sequence[str]) -> str:
-    pieces = []
+    text = ""
     for c, label in zip(row, labels):
         if c == 0:
             continue
-        if c == 1:
-            pieces.append(label)
-        elif c == -1:
-            pieces.append(f"-{label}")
-        else:
-            pieces.append(f"{c}*{label}")
-    if not pieces:
-        return "0"
-    return " + ".join(pieces).replace("+ -", "- ")
+        term = label if abs(c) == 1 else f"{abs(c)}*{label}"
+        sign = "-" if c < 0 else "+"  # per term, so a label's own "-" stays
+        text = f"{text} {sign} {term}" if text else term if c > 0 else f"-{term}"
+    return text or "0"
 
 
 def _format_subspace(s: Subspace, labels: Sequence[str]) -> str:

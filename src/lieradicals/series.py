@@ -90,23 +90,16 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """U(I) = {x : [x, e_j] lies in I for every basis vector e_j}.
 
-    Computed as the kernel of the stacked maps x -> [x, e_j] mod I.  Satisfies
-    I <= U(I) <= L, and U(I) is again an ideal.
+    Computed as the kernel of the stacked maps x -> [x, e_j] mod I: column i
+    of row (j, c) holds the integer `ideal._reduce` of the adjoint entry
+    D·[e_i, e_j], which is δ·D·([e_i, e_j] mod I) and vanishes at I's pivots;
+    the common scalar δ·D leaves the kernel unchanged.  Only the stored nonzero
+    brackets are visited, and rows that vanish are never built.
+
+    I <= U(I) exactly when [I, L] <= I, which on an antisymmetric table is the
+    ideal test; otherwise this raises NotAnIdealError.  U(I) is again an ideal.
     """
-    if not L.is_ideal(ideal):
-        raise NotAnIdealError("upper extension requires an ideal")
-    return _upper_extension(L, ideal)
-
-
-def _upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """U(I) for an I already known to be an ideal.
-
-    Row (j, c) of the stacked system is coordinate c of [x, e_j] mod I, as a
-    function of x: column i holds the integer `ideal._reduce` of the adjoint
-    entry D·[e_i, e_j], which is δ·D·([e_i, e_j] mod I) and vanishes at I's
-    pivots.  The common scalar δ·D leaves the kernel unchanged.  Only the
-    stored nonzero brackets are visited, and rows that vanish are never built.
-    """
+    L._check_ambient(ideal)
     n = L.dim
     rows: dict[tuple[int, int], list[int]] = {}
     for i, row in enumerate(L.constants.adjoint):
@@ -114,12 +107,15 @@ def _upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
             for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
                 if a:
                     rows.setdefault((j, c), [0] * n)[i] = a
-    return Subspace.span(rows.values(), n).annihilator()
+    u = Subspace.span(rows.values(), n).annihilator()
+    if not ideal.leq(u):
+        raise NotAnIdealError("upper extension requires an ideal")
+    return u
 
 
 def upper_central_series(L: LieAlgebra) -> SeriesReport:
     return iterate_series(
-        SeriesKind.UPPER_CENTRAL, L.zero_space(), lambda t: _upper_extension(L, t)
+        SeriesKind.UPPER_CENTRAL, L.zero_space(), lambda t: upper_extension(L, t)
     )
 
 
@@ -197,43 +193,27 @@ def is_semisimple(L: LieAlgebra) -> bool:
     return by_radical
 
 
-# -- ideal predicates ------------------------------------------------------------
-
-
-def _require_ideal(L: LieAlgebra, s: Subspace) -> None:
-    if not L.is_ideal(s):
-        raise NotAnIdealError("subspace is not an ideal")
-
-
-# Unchecked forms of the predicates below, for subspaces known to be ideals.
-def _is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    return L.bracket_spaces(s, s) == s
-
-
-def _is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    return L.bracket_spaces(L.full_space(), s) == s
-
-
-def _is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    return _upper_extension(L, s) == s
+# -- ideal predicates: each raises NotAnIdealError unless s is an ideal ----------
 
 
 def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [s, s] = s (a perfect Lie algebra in its own right)."""
-    _require_ideal(L, s)
-    return _is_perfect_ideal(L, s)
+    if not L.is_ideal(s):
+        raise NotAnIdealError("subspace is not an ideal")
+    return L.bracket_spaces(s, s) == s
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s."""
-    _require_ideal(L, s)
-    return _is_near_perfect_ideal(L, s)
+    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s."""
+    p = L.bracket_spaces(L.full_space(), s)
+    if not p.leq(s):
+        raise NotAnIdealError("subspace is not an ideal")
+    return p == s
 
 
 def is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with U(s) = s."""
-    _require_ideal(L, s)
-    return _is_upper_bounded_ideal(L, s)
+    """Ideal with U(s) = s; `upper_extension` checks that s is an ideal."""
+    return upper_extension(L, s) == s
 
 
 # -- the full profile -------------------------------------------------------------

@@ -4,14 +4,17 @@ The matrix-unit families use ``[E_ij, E_kl] = δ_jk E_il − δ_li E_kj`` and ar
 built here, apart from the package's own catalog; `rational-<name>` is the
 same algebra in a fixed dense basis whose constants carry denominators.  The
 reference routines are the package's earlier implementations of the RREF
-(over `Fraction`s, and the column sweep of the integer kernel),
-the Killing Gram matrix and its orthogonal, the upper extension, the axiom
-check, subspace intersection, the ideal closure and ideal test, reduction
-modulo a subspace, the quotient algebra, and the construction of constants
-from one orientation per pair and by restriction through `Fraction` tables,
-kept as slow paths that the faster code is compared against entry by entry.  The dense `Fraction` matrix and vector arithmetic
-that only these slow paths and the tests use (`apply`, `trace`, `rank`,
-`zeros`, `vdot`, ...) are plain functions here, apart from `Matrix`.
+(over `Fraction`s, and the column sweep of the integer kernel), the Killing
+Gram matrix and its orthogonal, the upper extension (dense, and the stacked
+integer form behind its own `is_ideal` test), the ideal predicates that test
+`is_ideal` before they compute, the axiom check, subspace intersection, the
+ideal closure and ideal test, reduction modulo a subspace, the quotient
+algebra, and the construction of constants from one orientation per pair and
+by restriction through `Fraction` tables, kept as slow paths that the faster
+code is compared against entry by entry.  The dense `Fraction` matrix and
+vector arithmetic that only these slow paths and the tests use (`apply`,
+`trace`, `rank`, `zeros`, `vdot`, ...) are plain functions here, apart from
+`Matrix`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from lieradicals.core import LieAlgebra, NotClosedError, StructureConstants
+from lieradicals.core import LieAlgebra, NotAnIdealError, NotClosedError, StructureConstants
 from lieradicals.linalg import Matrix, vector
 from lieradicals.subspace import Subspace
 
@@ -317,6 +320,39 @@ def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
         neg_ad_j = Matrix(ad_j.rows, ad_j.cols, [-a for a in ad_j.entries])
         blocks.append(proj @ neg_ad_j)
     return Subspace.span(stack(blocks, L.dim).kernel().row_list(), L.dim)
+
+
+def _require_ideal(L: LieAlgebra, s: Subspace) -> None:
+    if not L.is_ideal(s):
+        raise NotAnIdealError("subspace is not an ideal")
+
+
+def checked_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
+    """U(I) after a separate `is_ideal` test: the kernel of the stacked rows
+    (j, c), coordinate c of [x, e_j] mod I, built from the integer adjoint."""
+    _require_ideal(L, ideal)
+    n = L.dim
+    rows: dict[tuple[int, int], list[int]] = {}
+    for i, row in enumerate(L.constants.adjoint):
+        for j, col in row.items():
+            for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
+                if a:
+                    rows.setdefault((j, c), [0] * n)[i] = a
+    return Subspace.span(rows.values(), n).annihilator()
+
+
+def checked_is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    _require_ideal(L, s)
+    return L.bracket_spaces(s, s) == s
+
+
+def checked_is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    _require_ideal(L, s)
+    return L.bracket_spaces(L.full_space(), s) == s
+
+
+def checked_is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    return checked_upper_extension(L, s) == s
 
 
 def coefficient_intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -4,13 +4,16 @@
 name when the benchmark runs with `--trace 1`.  A function renamed or deleted
 here would break only that traced run, so this test resolves every name the
 way `Tracer.install` does: a method must be defined on the class itself, and
-a module function must be an attribute of its module.
+a module function must be an attribute of its module.  A traced run of
+`profile` also shows that the upper central series reaches the traced
+`series.upper_extension`.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,14 +21,15 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def _layers():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-LAYERS = _layers()
+tracing = _tracing()
+LAYERS = tracing.LAYERS
 
 
 @pytest.mark.parametrize("span,mod,path", LAYERS, ids=[f"{m}.{p}" for _, m, p in LAYERS])
@@ -36,3 +40,18 @@ def test_traced_layer_resolves(span, mod, path):
         assert attr in vars(getattr(owner, cls_name)), f"{span}: {path} is gone"
     else:
         assert callable(getattr(owner, path, None)), f"{span}: {path} is gone"
+
+
+def test_profile_reaches_the_traced_upper_extension():
+    """heis3's upper central series 0 < Z(L) < L is built by upper extensions,
+    which the traced run must count."""
+    from lieradicals import catalog, cli, series  # noqa: F401  (loads every traced module)
+
+    tracer = tracing.Tracer()
+    tracer.install({m.rsplit(".", 1)[-1]: mod for m, mod in sys.modules.items()
+                    if m == "lieradicals" or m.startswith("lieradicals.")})
+    try:
+        series.profile(catalog.get("heis3").algebra)
+    finally:
+        tracer.uninstall()
+    assert tracer.layers()["series.upper_extension"]["calls"] >= 2

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,27 @@ def test_analyze_text_output_dimension_zero(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["dim 0", "basis"]
     assert all(line == line.rstrip() for line in lines)
+
+
+@pytest.mark.parametrize("row,text", [
+    ((1, 1, 0), "x + -y"),
+    ((1, -1, 0), "x - -y"),
+    ((-1, 0, 1), "-x + z"),
+    ((Fraction(-3, 2), 0, 2), "-3/2*x + 2*z"),
+    ((0, Fraction(1, 2), Fraction(-2, 3)), "1/2*-y - 2/3*z"),
+    ((0, 0, 0), "0"),
+])
+def test_format_vector_signs_each_term_and_leaves_labels_as_given(row, text):
+    assert cli.format_vector(row, ("x", "-y", "z")) == text
+
+
+def test_analyze_text_keeps_a_label_that_starts_with_minus(tmp_path, capsys):
+    p = tmp_path / "minus.alg"
+    p.write_text("dim 2\nbasis x -y\n[1,2] = 1*e1 + 1*e2\n")
+    assert main(["analyze", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "near_perfect_radical     dim 1  basis: x + -y\n" in out
+    assert " - y" not in out
 
 
 def test_analyze_json_schema(good_file, capsys):

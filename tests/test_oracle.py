@@ -22,7 +22,7 @@ from lieradicals.series import (
     lower_central_series,
     upper_central_series,
 )
-from lieradicals.subspace import Subspace
+from lieradicals.subspace import Subspace, sort_key
 
 OPTIMIZED = {
     SeriesKind.DERIVED: derived_series,
@@ -259,3 +259,31 @@ def test_a_pool_member_that_is_no_ideal_raises(monkeypatch, s32):
     monkeypatch.setattr(oracle, "random_ideal", lambda L, seed: span(3, (0, 0, 1)))
     with pytest.raises(NotAnIdealError):
         verify_theorems(s32, samples=3, seed=0)
+
+
+def _verify_pool(L, samples, seed):
+    """The ideals `verify_theorems` classifies, built and sorted as it does."""
+    rng = random.Random(seed)
+    prof = series.profile(L)
+    pool = {random_ideal(L, rng.randrange(2**32)) for _ in range(samples)}
+    pool.update((L.zero_space(), L.full_space(), *prof.subspaces().values()))
+    pool.update(t for rep in prof.series().values() for t in rep.terms)
+    return sorted(pool, key=sort_key)
+
+
+POOL_INPUTS = [(f"catalog-{e.name}", e.algebra) for e in catalog.entries()]
+POOL_INPUTS += [(f"random-{k:03d}", L) for k, L in enumerate(random_algebras(100, 4, 20240809))]
+
+
+@pytest.mark.parametrize("name,L", POOL_INPUTS, ids=[name for name, _ in POOL_INPUTS])
+def test_perfect_filtered_from_near_perfect_equals_perfect_over_the_pool(name, L, monkeypatch):
+    """`verify` tests only its near perfect ideals for perfection; each class it
+    builds is the whole pool's, in the same order."""
+    seen = []
+    monkeypatch.setattr(oracle, "CHECKS", (("pool", lambda ctx: seen.append(ctx) or ("holds",)),))
+    verify_theorems(L, samples=50, seed=0)
+    (ctx,) = seen
+    pool = _verify_pool(L, 50, 0)
+    assert ctx.perfect == tuple(i for i in pool if series.is_perfect_ideal(L, i))
+    assert ctx.near_perfect == tuple(i for i in pool if series.is_near_perfect_ideal(L, i))
+    assert ctx.upper_bounded == tuple(i for i in pool if series.is_upper_bounded_ideal(L, i))

@@ -17,6 +17,12 @@ and on generators of L that bring its table to rank n early, where it must
 stop.  `LieAlgebra.is_ideal`, which reduces each bracket [e_i, r] modulo the
 subspace, is compared with `reference.naive_is_ideal`, which echelonizes
 [L, s] first, on ideals, lines and random spans of the same inputs.
+`upper_extension` and the ideal predicates, which each find out from their
+own computation whether the subspace is an ideal, are compared with
+`reference`'s versions that run `is_ideal` first, on the same kinds of
+subspace and, under hypothesis, on catalog and random-corpus algebras in
+their own and a rational basis: equal results, or `NotAnIdealError` from
+both, and `upper_extension` raises exactly when `is_ideal` is False.
 
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce`, `coordinates` and
@@ -47,12 +53,15 @@ from hypothesis import strategies as st
 
 from lieradicals import catalog, core, linalg, subspace
 from lieradicals.subspace import Subspace
-from lieradicals.core import LieAlgebra, StructureConstants
+from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
 from lieradicals.linalg import Matrix
 from lieradicals.oracle import random_algebras, random_ideal
 from lieradicals.series import (
     derived_series,
+    is_near_perfect_ideal,
+    is_perfect_ideal,
     is_semisimple,
+    is_upper_bounded_ideal,
     lower_central_series,
     profile,
     radical,
@@ -310,6 +319,74 @@ def test_is_ideal_matches_naive_test_on_random_algebras(seed, k, rational, data)
 def test_is_ideal_length_mismatch():
     with pytest.raises(ValueError, match="ambient dimension disagrees"):
         catalog.get("s3_2").algebra.is_ideal(Subspace.zero(2))
+
+
+#: Each predicate that checks its own input, and the reference that runs
+#: `is_ideal` before it computes.
+PREDICATES = (
+    (upper_extension, reference.checked_upper_extension),
+    (is_perfect_ideal, reference.checked_is_perfect_ideal),
+    (is_near_perfect_ideal, reference.checked_is_near_perfect_ideal),
+    (is_upper_bounded_ideal, reference.checked_is_upper_bounded_ideal),
+)
+
+
+def _checked_outcomes(L, s) -> tuple:
+    """(got, want): each predicate's result or NotAnIdealError against its
+    reference's, then whether `upper_extension` raised against `not is_ideal`."""
+
+    def outcome(fn):
+        try:
+            return fn(L, s)
+        except NotAnIdealError:
+            return NotAnIdealError
+
+    pairs = [(outcome(new), outcome(old)) for new, old in PREDICATES]
+    pairs.append((pairs[0][0] is NotAnIdealError, not L.is_ideal(s)))
+    return tuple(zip(*pairs))
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_ideal_predicates_match_checked_reference(name, L):
+    """On the series terms and the radical, on lines, and on spans of random
+    vectors alone and added to an ideal."""
+    rng = random.Random(name)
+    ideals = _ideals(L)
+    spaces = ideals + _lines(L)
+    for _ in range(3):
+        vecs = [[rng.randint(-1, 1) for _ in range(L.dim)] for _ in range(rng.randint(1, 2))]
+        spaces += [Subspace.span(vecs, L.dim), rng.choice(ideals).sum(Subspace.span(vecs, L.dim))]
+    raised = set()
+    for s in spaces:
+        got, want = _checked_outcomes(L, s)
+        assert got == want
+        raised.add(got[-1])
+    assert raised == ({False, True} if any(L.constants.adjoint) else {False})
+
+
+CATALOG_OR_CORPUS = st.one_of(
+    st.sampled_from(catalog.names()).map(lambda n: catalog.get(n).algebra),
+    st.builds(lambda seed, k: random_algebras(k + 1, 4, seed)[k],
+              st.integers(0, 2**32), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CATALOG_OR_CORPUS, st.booleans(), st.data())
+def test_ideal_predicates_match_checked_reference_on_random_spans(L, rational, data):
+    """Spans of 1 to 3 int or Fraction vectors of a catalog or random-corpus
+    algebra, in its own or the rational basis, the ideal they generate, and
+    that ideal plus one more vector: equal results, or NotAnIdealError from both."""
+    if rational:
+        L = reference.rebase(L)
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)))
+    vector = st.lists(entry, min_size=L.dim, max_size=L.dim)
+    vecs = data.draw(st.lists(vector, min_size=1, max_size=3))
+    ideal = L.ideal_closure(vecs)
+    for s in (Subspace.span(vecs, L.dim), ideal,
+              ideal.sum(Subspace.span([data.draw(vector)], L.dim))):
+        got, want = _checked_outcomes(L, s)
+        assert got == want
 
 
 @pytest.mark.parametrize("name", ["gl3", "b4", "rational-b3", "rational-gl3"])

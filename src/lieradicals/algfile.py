@@ -131,7 +131,7 @@ def parse_algebra(text: str) -> LieAlgebra:
                 for part in rhs.split("+"):
                     t = _TERM_RE.fullmatch(part.strip())
                     if t is None:
-                        raise ParseError(f"malformed term {part.strip()!r}", lineno)
+                        raise ParseError(f"malformed term {part.strip()!r} in {rhs!r}", lineno)
                     try:
                         coeff = _numeral(t.group(1), lineno, Fraction)
                     except ZeroDivisionError:

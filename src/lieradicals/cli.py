@@ -17,7 +17,7 @@ from typing import Sequence
 from . import catalog as _catalog
 from .algfile import InvalidAlgebraError, ParseError, parse_algebra, render_algebra
 from .core import LieAlgebra
-from .oracle import TheoremReport, verify_theorems
+from .oracle import MAX_SAMPLES, TheoremReport, verify_theorems
 from .series import ProfileReport, profile
 from .subspace import Subspace
 
@@ -139,6 +139,9 @@ def cmd_analyze(path: str, as_json: bool) -> int:
 def cmd_verify(path: str, samples: int, seed: int, as_json: bool) -> int:
     if samples < 1:
         print(f"error: --samples must be at least 1, got {samples}", file=sys.stderr)
+        return EXIT_PARSE
+    if samples > MAX_SAMPLES:
+        print(f"error: --samples must be at most {MAX_SAMPLES}, got {samples}", file=sys.stderr)
         return EXIT_PARSE
     loaded = _load(path)
     if isinstance(loaded, int):

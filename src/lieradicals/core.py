@@ -10,7 +10,7 @@ to a subalgebra, and quotients by ideals.
 integers, ``adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the
 common denominator D of all the constants.  Its constructor is the one place
 a table is normalised; `from_brackets` adds the reverse orientations to its
-integers, and `restrict` and `_quotient` compute their new constants in
+integers, and `restrict` and `quotient` compute their new constants in
 integers and divide them once by a common scalar.  `Fraction`s are made from
 the table only on request (`bracket_basis`, `pairs`).  Brackets of vectors,
 the axiom check, the Killing Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl
@@ -36,7 +36,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, divided, insert_row, integer_row, vector
+from .linalg import Matrix, divided, insert_row, numerators, vector
 from .subspace import Subspace
 
 
@@ -317,7 +317,7 @@ class LieAlgebra:
         """
         n = self.dim
         rows: dict[int, list[int]] = {}
-        todo = [integer_row(v) for v in vectors]
+        todo = [numerators(v)[0] for v in vectors]
         if any(len(v) != n for v in todo):
             raise ValueError("vector length disagrees with ambient dimension")
         for w in todo:  # grows while it is walked: the brackets of each added row
@@ -411,23 +411,18 @@ class LieAlgebra:
         return tuple(sum((c * row[k] for c, row in zip(coords, s.rows())), Fraction(0))
                      for k in range(self.dim))
 
-    def quotient(self, ideal: Subspace) -> tuple["LieAlgebra", Matrix]:
-        """Factor algebra by an ideal, plus the linear projection onto it.
+    def quotient(self, ideal: Subspace) -> "LieAlgebra":
+        """The factor algebra L / ideal; raises NotAnIdealError for a non-ideal.
 
-        The quotient basis is the set of standard coordinate vectors at the
-        non-pivot columns of the ideal's RREF basis, in index order, which
-        makes the construction deterministic.  The returned matrix maps
-        ambient coordinates to quotient coordinates and is a surjective Lie
-        homomorphism.
+        The quotient basis is the standard vectors at the ideal's free columns
+        (`Subspace.free_columns`), in index order, and
+        `ideal.quotient_projection()` maps ambient coordinates onto it.  The
+        quotient coordinates of [e_i, e_j] are its free entries mod the ideal:
+        `ideal._reduce` of the stored integers D·[e_i, e_j] is
+        δ·D·([e_i, e_j] mod I), so they are divided by δ·D.
         """
         if not self.is_ideal(ideal):
             raise NotAnIdealError("quotient requires an ideal")
-        return self._quotient(ideal), ideal.quotient_projection()
-
-    def _quotient(self, ideal: Subspace) -> "LieAlgebra":
-        """L / ideal for a known ideal: the quotient coordinates of [e_i, e_j] are
-        its free entries mod the ideal.  `ideal._reduce` of the stored integers
-        D·[e_i, e_j] is δ·D·([e_i, e_j] mod I), so they are divided by δ·D."""
         n, free = self.dim, ideal.free_columns()
         index = {c: a for a, c in enumerate(free)}
         scale, table = ideal._delta * self.constants.denominator, {}

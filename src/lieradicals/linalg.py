@@ -2,17 +2,18 @@
 `Fraction` matrix type of the package's results.
 
 The one elimination step is :func:`insert_row`: it adds an integer row to a
-table of fraction-free echelon rows keyed by pivot column (Bareiss 1968).
+table of primitive fraction-free echelon rows keyed by pivot column (Bareiss
+1968), and it alone divides the rows it stores by their gcd.
 :func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`, inserts
-each row, scaled to coprime integers (:func:`integer_row`), and sorts the table;
+the integer numerators of each row (:func:`numerators`) and sorts the table;
 ``LieAlgebra.ideal_closure`` grows one table as it brackets.  Everything else
 (kernels, subspace lattices, series computations) is built on these, and
 ``fractions.Fraction`` values are made only when a row is divided by its pivot
 entry (:func:`divided`), for output, so every result is exact.
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
-`killing_matrix`, `quotient` and `Subspace.basis` return, and it keeps only
-`rref`, `kernel`, `@`, `transpose`, `identity` and `is_zero` beyond element
-access.
+`killing_matrix`, `Subspace.quotient_projection` and `Subspace.basis` return,
+and it keeps only `rref`, `kernel`, `@`, `transpose`, `identity` and
+`is_zero` beyond element access.
 """
 
 from __future__ import annotations
@@ -37,15 +38,10 @@ def vector(entries: Iterable) -> tuple[Fraction, ...]:
 
 def numerators(row: Sequence) -> tuple[list[int], int]:
     """(u, e) with row = u / e, for e the lcm of the int or Fraction row's denominators."""
+    if all(isinstance(x, int) for x in row):
+        return list(row), 1
     e = lcm(*(x.denominator for x in row))
     return [x.numerator * (e // x.denominator) for x in row], e
-
-
-def integer_row(row: Sequence) -> list[int]:
-    """Coprime integers on the line of an int or Fraction row (0s for a zero row)."""
-    ints = list(row) if all(isinstance(x, int) for x in row) else numerators(row)[0]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
 
 
 def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
@@ -53,17 +49,15 @@ def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
-def insert_row(rows: dict[int, list[int]], w: Sequence[int], primitive=False) -> list[int] | None:
+def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None:
     """Add the integer row w to `rows`, a table {pivot: primitive row, positive
     there and zero at every other pivot}; return the row stored, or None.
 
     w is reduced against the table, entry f against pivot p by
-    w <- (p/g)·w − (f/g)·row with g = gcd(p, f).  A nonzero remainder is made
-    primitive and positive at its first nonzero column c, cleared from the
-    other rows the same way (it is zero at their pivots, so they stay
-    positive there; each is then divided by its gcd) and stored at c.  Pass
-    `primitive` for a w of coprime entries: if no update touched it, only its
-    sign is fixed.
+    w <- (p/g)·w − (f/g)·row with g = gcd(p, f).  A nonzero remainder is
+    divided by its gcd, made positive at its first nonzero column c, cleared
+    from the other rows the same way (it is zero at their pivots, so they
+    stay positive there; each is then divided by its gcd) and stored at c.
     """
     for c, row in rows.items():
         f = w[c]
@@ -72,11 +66,10 @@ def insert_row(rows: dict[int, list[int]], w: Sequence[int], primitive=False) ->
             g = gcd(p, f)
             a, b = p // g, f // g
             w = [a * x - b * y for x, y in zip(w, row)]
-            primitive = False
     c = next((i for i, x in enumerate(w) if x), None)
     if c is None:
         return None
-    h = 1 if primitive else gcd(*w)
+    h = gcd(*w)
     h = h if w[c] > 0 else -h
     if h != 1:
         w = [x // h for x in w]
@@ -102,7 +95,7 @@ def echelon_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], 
     """
     table: dict[int, list[int]] = {}
     for r in rows:
-        insert_row(table, integer_row(r), primitive=True)
+        insert_row(table, numerators(r)[0])
     pivots = tuple(sorted(table))
     return [table[c] for c in pivots], pivots
 

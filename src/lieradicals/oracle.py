@@ -52,6 +52,9 @@ from .series import (
 )
 from .subspace import Subspace, sort_key
 
+#: The most random ideals `verify_theorems` samples in one run.
+MAX_SAMPLES = 10_000
+
 HOLDS = "holds"
 VACUOUS = "vacuous"
 VIOLATED = "violated"
@@ -170,17 +173,16 @@ def _redundant_spanning(s: Subspace) -> list[tuple[Fraction, ...]]:
 def _preimage(L: LieAlgebra, ideal: Subspace, h: Subspace) -> Subspace:
     """Preimage in L of h, a subspace of the quotient L / ideal.
 
-    Quotient coordinates index the non-pivot columns of the ideal's basis,
-    as in `LieAlgebra.quotient`.
+    Quotient coordinates index the free columns of the ideal's basis, as in
+    `LieAlgebra.quotient`, so h's integer rows lift to those columns.
     """
-    non_pivots = ideal.free_columns()
-    lifts = []
-    for row in h.rows():
-        v = [Fraction(0)] * L.dim
-        for a, c in enumerate(row):
-            v[non_pivots[a]] = c
+    free, lifts = ideal.free_columns(), []
+    for row in h.int_rows:
+        v = [0] * L.dim
+        for c, x in zip(free, row):
+            v[c] = x
         lifts.append(v)
-    return Subspace.span(lifts + ideal.rows(), L.dim)
+    return Subspace.span(lifts + list(ideal.int_rows), L.dim)
 
 
 def _stacked_center(Q: LieAlgebra) -> Subspace:
@@ -217,7 +219,7 @@ def naive_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
         return iterate_series(kind, L.full_space(), step)
 
     def step(t: Subspace) -> Subspace:
-        Q, _ = L.quotient(t)
+        Q = L.quotient(t)
         return _preimage(L, t, _stacked_center(Q))
 
     return iterate_series(kind, L.zero_space(), step)
@@ -266,7 +268,7 @@ def _flag_iff_zero(ctx: _Context, flag: str, name: str) -> tuple:
 def _quotient_is(ctx: _Context, pred, name: str, failure: str) -> tuple:
     """L / (the radical `name`) satisfies `pred`."""
     rad = getattr(ctx.prof, name)
-    q = ctx.L._quotient(rad)
+    q = ctx.L.quotient(rad)
     return (HOLDS, f"quotient dim {q.dim}") if pred(q) else _bad(failure, **{name: rad})
 
 
@@ -293,7 +295,7 @@ def _p22(ctx: _Context) -> tuple:
 
 
 def _p24(ctx: _Context) -> tuple:
-    fired = [i for i in ctx.perfect if is_perfect(ctx.L._quotient(i))]
+    fired = [i for i in ctx.perfect if is_perfect(ctx.L.quotient(i))]
     if not fired:
         return VACUOUS, "no sampled perfect ideal has a perfect quotient"
     if ctx.prof.perfect:
@@ -322,7 +324,7 @@ def _p34(ctx: _Context) -> tuple:
     L = ctx.L
     instances = nontrivial = 0
     for i in ctx.near_perfect:
-        q = L._quotient(i)
+        q = L.quotient(i)
         candidates = {q.zero_space(), near_perfect_radical(q)}
         for _ in range(3):
             h = random_ideal(q, ctx.rng.randrange(2**32))
@@ -416,11 +418,14 @@ def verify_theorems(L: LieAlgebra, samples: int = 50, seed: int = 0) -> TheoremR
     """Run every check in `CHECKS` against `samples` random ideals.
 
     The pool is sorted once into its upper bounded, near perfect and perfect
-    ideals; a member that is no ideal raises NotAnIdealError.  Pure for fixed
+    ideals; a member that is no ideal raises NotAnIdealError.  `samples` must
+    lie in 1..MAX_SAMPLES, or ValueError is raised.  Pure for fixed
     (L, samples, seed); the input algebra is never mutated.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}")
     rng = random.Random(seed)
     prof = profile(L)
     pool = {random_ideal(L, rng.randrange(2**32)) for _ in range(samples)}

@@ -69,6 +69,14 @@ def test_syntax_error_carries_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("rhs", ["+1*e2", "1*e1 +", "1*e1 + + 1*e2"])
+def test_empty_term_is_a_parse_error_naming_the_right_hand_side(rhs):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"dim 2\n[1,2] = {rhs}\n")
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: malformed term '' in {rhs!r}"
+
+
 def test_zero_denominator_is_a_parse_error_with_line_number():
     with pytest.raises(ParseError) as err:
         parse_algebra("dim 2\n[1,2] = 1*e2 + 1/0*e1\n")

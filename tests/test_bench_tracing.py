@@ -6,7 +6,8 @@ here would break only that traced run, so this test resolves every name the
 way `Tracer.install` does: a method must be defined on the class itself, and
 a module function must be an attribute of its module.  A traced run of
 `profile` also shows that the upper central series reaches the traced
-`series.upper_extension`.
+`series.upper_extension`, and a traced `verify` that its factor algebras go
+through the traced `LieAlgebra.quotient`.
 """
 
 from __future__ import annotations
@@ -42,16 +43,32 @@ def test_traced_layer_resolves(span, mod, path):
         assert callable(getattr(owner, path, None)), f"{span}: {path} is gone"
 
 
-def test_profile_reaches_the_traced_upper_extension():
-    """heis3's upper central series 0 < Z(L) < L is built by upper extensions,
-    which the traced run must count."""
-    from lieradicals import catalog, cli, series  # noqa: F401  (loads every traced module)
+def _traced_layers(run) -> dict:
+    """The tracer's layer counters after `run()`, traced as `--trace 1` does."""
+    from lieradicals import cli  # noqa: F401  (loads every traced module)
 
     tracer = tracing.Tracer()
     tracer.install({m.rsplit(".", 1)[-1]: mod for m, mod in sys.modules.items()
                     if m == "lieradicals" or m.startswith("lieradicals.")})
     try:
-        series.profile(catalog.get("heis3").algebra)
+        run()
     finally:
         tracer.uninstall()
-    assert tracer.layers()["series.upper_extension"]["calls"] >= 2
+    return tracer.layers()
+
+
+def test_profile_reaches_the_traced_upper_extension():
+    """heis3's upper central series 0 < Z(L) < L is built by upper extensions,
+    which the traced run must count."""
+    from lieradicals import catalog, series
+
+    layers = _traced_layers(lambda: series.profile(catalog.get("heis3").algebra))
+    assert layers["series.upper_extension"]["calls"] >= 2
+
+
+def test_verify_reaches_the_traced_quotient():
+    """P2.5 and P3.5 each factor s3_2 by a radical through `LieAlgebra.quotient`."""
+    from lieradicals import catalog, oracle
+
+    layers = _traced_layers(lambda: oracle.verify_theorems(catalog.get("s3_2").algebra, samples=5))
+    assert layers["core.quotient"]["calls"] >= 2

@@ -141,6 +141,15 @@ def test_verify_samples_below_one_is_a_usage_error(good_file, samples, capsys):
     assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("samples", ["10001", "99999999999999999999999"])
+def test_verify_samples_above_the_limit_is_a_usage_error(samples, capsys):
+    # The bound is checked before the file is read, so no file is needed.
+    assert main(["verify", "/nonexistent/nope.alg", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at most 10000, got {samples}\n"
+
+
 def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "/nonexistent/nope.alg"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals.linalg import Matrix, divided, echelon_rows, insert_row, integer_row
+from lieradicals.linalg import Matrix, divided, echelon_rows, insert_row, numerators
 
 import reference
 from reference import apply, is_zero_vector, rank, trace, vdot, zeros
@@ -166,10 +167,17 @@ def row_lists(draw, max_rows=5, max_cols=5, max_extra=3):
     return rows, cols
 
 
+def _primitive(row):
+    """The int or Fraction row scaled to coprime integers (0s for a zero row)."""
+    ints = numerators(row)[0]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def _check_table(table, cols):
     """Each row primitive, positive at its pivot and zero at every other pivot."""
     for c, row in table.items():
-        assert len(row) == cols and row[c] > 0 and integer_row(row) == row
+        assert len(row) == cols and row[c] > 0 and math.gcd(*row) == 1
         assert all(row[k] == 0 for k in table if k != c)
 
 
@@ -178,7 +186,7 @@ def _check_table(table, cols):
 def test_echelon_rows_match_column_sweep_and_fraction_rref(case):
     rows, cols = case
     red, pivots = echelon_rows(rows, cols)
-    ints = [r for r in map(integer_row, rows) if any(r)]
+    ints = [r for r in map(_primitive, rows) if any(r)]
     assert (red, list(pivots)) == reference.column_sweep_echelon(ints, cols)
     rref = Matrix.from_rows([divided(r, r[p]) for r, p in zip(red, pivots)], cols)
     assert (rref, pivots) == reference.fraction_rref(Matrix.from_rows(rows, cols))
@@ -200,7 +208,7 @@ def test_insert_row_adds_exactly_the_independent_rows(case):
     table, rank = {}, 0
     for k, r in enumerate(rows):
         before = dict(table)
-        added = insert_row(table, integer_row(r))
+        added = insert_row(table, numerators(r)[0])
         new_rank = len(reference.fraction_rref(Matrix.from_rows(rows[: k + 1], cols))[1])
         if added is None:
             assert table == before
@@ -211,24 +219,11 @@ def test_insert_row_adds_exactly_the_independent_rows(case):
         rank = new_rank
 
 
-@settings(max_examples=150, deadline=None)
-@given(row_lists())
-def test_insert_row_of_primitive_rows_skips_only_a_redundant_gcd(case):
-    """Rows of coprime integers, of either sign, give the same table with and
-    without `primitive`."""
-    rows, cols = case
-    plain, flagged = {}, {}
-    for r in map(integer_row, rows):
-        assert insert_row(plain, r) == insert_row(flagged, r, primitive=True)
-        assert plain == flagged
-        _check_table(flagged, cols)
-
-
 @given(st.lists(st.integers(-10**20, 10**20), max_size=6))
-def test_integer_row_of_ints_matches_the_fraction_path(ints):
-    expected = integer_row([Fraction(x) for x in ints])
-    got = integer_row(ints)
-    assert got == expected and type(got) is list and all(type(x) is int for x in got)
+def test_numerators_of_ints_match_the_fraction_path(ints):
+    expected = numerators([Fraction(x) for x in ints])
+    got, e = numerators(ints)
+    assert (got, e) == expected and type(got) is list and all(type(x) is int for x in got)
 
 
 # -- kernel ----------------------------------------------------------------

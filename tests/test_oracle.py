@@ -10,6 +10,7 @@ from lieradicals.algfile import render_algebra
 from lieradicals.cli import main
 from lieradicals.core import NotAnIdealError
 from lieradicals.oracle import (
+    MAX_SAMPLES,
     PROPOSITION_IDS,
     naive_series,
     random_algebras,
@@ -156,6 +157,8 @@ def test_verify_seed_determinism(s32):
 def test_verify_rejects_bad_sample_count(s32):
     with pytest.raises(ValueError):
         verify_theorems(s32, samples=0, seed=1)
+    with pytest.raises(ValueError, match="at most 10000"):
+        verify_theorems(s32, samples=MAX_SAMPLES + 1, seed=1)
 
 
 def test_verify_report_metadata(s32):

@@ -267,14 +267,14 @@ def test_perfect_radical_inside_near_perfect_radical():
 def test_quotient_by_perfect_radical_is_solvable():
     for entry in catalog.entries():
         L = entry.algebra
-        q, _ = L.quotient(perfect_radical(L))
+        q = L.quotient(perfect_radical(L))
         assert is_solvable(q)
 
 
 def test_quotient_by_near_perfect_radical_is_nilpotent():
     for entry in catalog.entries():
         L = entry.algebra
-        q, _ = L.quotient(near_perfect_radical(L))
+        q = L.quotient(near_perfect_radical(L))
         assert is_nilpotent(q)
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -145,10 +145,9 @@ def test_killing_orthogonal_matches_fraction_gram(name, L):
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_quotient_matches_dense_projection(name, L):
     for ideal in _structure_ideals(name, L):
-        q, proj = L.quotient(ideal)
         expected_q, expected_proj = reference.dense_quotient(L, ideal)
-        assert q == expected_q and proj == expected_proj
-        assert L._quotient(ideal) == expected_q
+        assert L.quotient(ideal) == expected_q
+        assert ideal.quotient_projection() == expected_proj
 
 
 def _outcome(fn, *args):
@@ -445,7 +444,7 @@ def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
         expected = reference.fraction_rref(m)
         assert m.rref() == expected
         ints, pivots = kernel(rows, cols)
-        assert all(r[p] > 0 and linalg.integer_row(r) == list(r) for r, p in zip(ints, pivots))
+        assert all(r[p] > 0 and gcd(*r) == 1 for r, p in zip(ints, pivots))
         red = [linalg.divided(r, r[p]) for r, p in zip(ints, pivots)]
         assert (Matrix.from_rows(red, cols), pivots) == expected
 

@@ -36,7 +36,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, divided, insert_row, numerators, vector
+from .linalg import Matrix, combination, dense, divided, insert_row, sparse, vector
 from .subspace import Subspace
 
 
@@ -139,7 +139,7 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, nonzero={nonzero})"
 
 
-def _support(x: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+def _support(x: Sequence) -> list[tuple]:
     """The nonzero coordinates of x as (index, value) pairs."""
     return [(i, xi) for i, xi in enumerate(x) if xi]
 
@@ -164,6 +164,8 @@ class LieAlgebra:
             raise ValueError("need exactly one label per basis vector")
         if len(set(labels)) != dim:
             raise ValueError("basis labels must be unique")
+        if "#" in (line := " ".join(labels)) or line.split() != list(labels):  # a basis line
+            raise ValueError("basis labels must be nonempty, without whitespace or '#'")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "labels", labels)
@@ -264,48 +266,54 @@ class LieAlgebra:
         y = vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
-        return vector(self._bracket(_support(x), y))
+        return vector(dense(self._bracket(_support(x), _support(y)), self.dim))
 
-    def _bracket(self, xs: list[tuple], y: Sequence) -> list:
-        """D·[x, y] from the nonzero (i, x_i) of x, in the type of the inputs."""
-        out, adj = [0] * self.dim, self.constants.adjoint
+    def _bracket(self, xs: Iterable[tuple], ys: Sequence[tuple]) -> dict:
+        """D·[x, y] as {k: value} without zeros, from the nonzero (i, x_i) of x
+        and (j, y_j) of y, in the type of the inputs."""
+        out, adj = {}, self.constants.adjoint
         for i, xi in xs:
-            for j, col in adj[i].items():
-                c = xi * y[j]
-                if c:
+            row = adj[i]
+            for j, yj in ys:
+                if col := row.get(j):
+                    c = xi * yj
                     for k, v in col.items():
-                        out[k] += c * v
-        return out
+                        out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
     def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of the pairwise brackets of the two bases: the ideal product."""
+        """Span of the pairwise brackets of the two bases: the ideal product.  A row y of
+        b meets only the rows of a with an entry at some i with [e_i, e_j] stored, y_j ≠ 0."""
         self._check_ambient(a, b)
-        adj = self.constants.adjoint
-        supports = [(v, {j for j, x in enumerate(v) if x}) for v in b.int_rows]
+        adj, holding = self.constants.adjoint, {}  # i -> the rows of a with an entry at i
+        for xs in map(_support, a.int_rows):
+            for i, _ in xs:
+                holding.setdefault(i, []).append(xs)
         vecs = []
-        for u in a.int_rows:
-            xs = _support(u)
-            linked = set().union(*(adj[i] for i, _ in xs))  # j with some [e_i, e_j] stored
-            for v, support in supports:
-                # A pair with no stored bracket between the supports brackets to zero,
-                # and zero brackets do not change the span.
-                if not linked.isdisjoint(support):
-                    w = self._bracket(xs, v)
-                    if any(w):
-                        vecs.append(w)
+        for ys in map(_support, b.int_rows):
+            linked = {id(xs): xs for j, _ in ys for i in adj[j] for xs in holding.get(i, ())}
+            vecs += filter(None, (self._bracket(xs, ys) for xs in linked.values()))
         return Subspace.span(vecs, self.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: by bilinearity, iff every nonzero
         D·[e_i, r] for a basis row r of s reduces to zero modulo s."""
         self._check_ambient(s)
-        return not any(any(s._reduce(b)) for r in s.int_rows for b in self._basis_brackets(r))
+        n = self.dim
+        return not any(any(s._reduce(dense(b, n)))
+                       for r in s.int_rows for b in self._basis_brackets(_support(r)))
 
-    def _basis_brackets(self, u: Sequence[int]) -> list[list[int]]:
-        """The nonzero D·[e_i, u], formed only for i with a stored [e_i, e_j] on u's support."""
-        adj, support = self.constants.adjoint, {j for j, x in enumerate(u) if x}
-        return [b for i in range(self.dim) if not support.isdisjoint(adj[i])
-                and any(b := self._bracket([(i, 1)], u))]
+    def _basis_brackets(self, us: Iterable[tuple]) -> list[dict]:
+        """The nonzero D·[e_i, u] as {k: value}, in order of i, from the nonzero
+        (j, u_j) of u: one pass over u's support, since the table stores
+        D·[e_i, e_j] = −D·[e_j, e_i] in both orientations."""
+        out: dict[int, dict] = {}
+        for j, x in us:
+            for i, col in self.constants.adjoint[j].items():
+                b = out.setdefault(i, {})
+                for k, v in col.items():
+                    b[k] = b.get(k, 0) - x * v
+        return [b for i in sorted(out) if (b := {k: v for k, v in out[i].items() if v})]
 
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:
         """Smallest ideal containing the vectors, grown one echelon row at a time.
@@ -316,18 +324,15 @@ class LieAlgebra:
         Once the table has rank n its span is L, an ideal, and the loop stops.
         """
         n = self.dim
-        rows: dict[int, list[int]] = {}
-        todo = [numerators(v)[0] for v in vectors]
-        if any(len(v) != n for v in todo):
-            raise ValueError("vector length disagrees with ambient dimension")
+        rows, todo = {}, [sparse(v, n) for v in vectors]
         for w in todo:  # grows while it is walked: the brackets of each added row
             u = insert_row(rows, w)
             if len(rows) == n:
                 return Subspace.full(n)
             if u is not None:
-                todo += self._basis_brackets(u)
+                todo += self._basis_brackets(u.items())
         pivots = sorted(rows)
-        return Subspace(n, [rows[p] for p in pivots], pivots)
+        return Subspace(n, [dense(rows[p], n) for p in pivots], pivots)
 
     # -- adjoint and Killing form -----------------------------------------------
 
@@ -342,21 +347,15 @@ class LieAlgebra:
     @cached_property
     def _killing(self) -> tuple[dict[int, int], ...]:
         """_killing[i] = {j: D²·K_ij}, the nonzero entries of the scaled Gram
-        matrix, K_ij = sum_{k,l} c^l_ik c^k_jl summed over the nonzero c^l_ik."""
-        n = self.dim
-        adj = self.constants.adjoint
-        gram: list[dict[int, int]] = [{} for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                t = 0
-                for k, col in adj[i].items():
-                    for l, c in col.items():
-                        d = adj[j].get(l, {}).get(k)
-                        if d:
-                            t += c * d
-                if t:
-                    gram[i][j] = gram[j][i] = t
-        return tuple(gram)
+        matrix, K_ij = sum_{k,l} c^l_ik c^k_jl summed over the nonzero products:
+        a reverse index (l, k) -> {j: a^k_jl} pairs each c^l_ik with them."""
+        adj, rev = self.constants.adjoint, {}
+        for j, row in enumerate(adj):
+            for l, col in row.items():
+                for k, a in col.items():
+                    rev.setdefault((l, k), {})[j] = a
+        return tuple(combination((c, rev[l, k]) for k, col in row.items()
+                                 for l, c in col.items() if (l, k) in rev) for row in adj)
 
     def killing_matrix(self) -> Matrix:
         """Gram matrix of the Killing form: K_ij = tr(ad(e_i) ad(e_j))."""
@@ -376,7 +375,7 @@ class LieAlgebra:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""
         self._check_ambient(s)
         # K is symmetric, so the constraint of a basis row y is D²·K applied to y.
-        constraints = [[sum(c * y[j] for j, c in g.items()) for g in self._killing]
+        constraints = [combination((yj, self._killing[j]) for j, yj in _support(y))
                        for y in s.int_rows]
         return Subspace.span(constraints, self.dim).annihilator()
 
@@ -393,9 +392,10 @@ class LieAlgebra:
         d = s._delta
         rows = [[(d // r[p]) * x for x in r] for r, p in zip(s.int_rows, s.pivots)]
         scale, table = self.constants.denominator * d * d, {}
-        for p, xs in enumerate(map(_support, rows)):
-            for q, v in enumerate(rows):
-                w = self._bracket(xs, v)
+        supports = [_support(r) for r in rows]
+        for p, xs in enumerate(supports):
+            for q, ys in enumerate(supports):
+                w = dense(self._bracket(xs, ys), self.dim)
                 if any(s._reduce(w)):
                     raise NotClosedError("subspace is not closed under the bracket")
                 if p < q:
@@ -429,7 +429,7 @@ class LieAlgebra:
         for i, row in enumerate(self.constants.adjoint):
             for j, col in row.items():
                 if i < j and i in index and j in index:
-                    w = ideal._reduce([col.get(k, 0) for k in range(n)])
+                    w = ideal._reduce(dense(col, n))
                     table[(index[i], index[j])] = divided([w[c] for c in free], scale)
         labels = tuple(self.labels[c] for c in free)
         return LieAlgebra(StructureConstants.from_brackets(len(free), table), labels)

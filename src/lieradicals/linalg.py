@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals: one elimination kernel and the
 `Fraction` matrix type of the package's results.
 
-The one elimination step is :func:`insert_row`: it adds an integer row to a
-table of primitive fraction-free echelon rows keyed by pivot column (Bareiss
-1968), and it alone divides the rows it stores by their gcd.
-:func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`, inserts
-the integer numerators of each row (:func:`numerators`) and sorts the table;
-``LieAlgebra.ideal_closure`` grows one table as it brackets.  Everything else
-(kernels, subspace lattices, series computations) is built on these, and
-``fractions.Fraction`` values are made only when a row is divided by its pivot
-entry (:func:`divided`), for output, so every result is exact.
+The one elimination step is :func:`insert_row`: it adds a sparse integer row
+(a ``{col: int}`` dict without zeros) to a table of such primitive echelon
+rows keyed by pivot column, fraction-free (Bareiss 1968) and touching nonzero
+entries only; it alone divides the rows it stores by their gcd.
+:func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`,
+converts each int, Fraction or dict row once (:func:`sparse`) and returns
+dense sorted rows; ``LieAlgebra.ideal_closure`` grows one table as it
+brackets.  Everything else is built on these, and ``Fraction`` values are made
+only when a row is divided by its pivot entry (:func:`divided`).
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
 `killing_matrix`, `Subspace.quotient_projection` and `Subspace.basis` return,
 and it keeps only `rref`, `kernel`, `@`, `transpose`, `identity` and
@@ -49,72 +49,104 @@ def divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
-def insert_row(rows: dict[int, list[int]], w: Sequence[int]) -> list[int] | None:
-    """Add the integer row w to `rows`, a table {pivot: primitive row, positive
-    there and zero at every other pivot}; return the row stored, or None.
+def sparse(row, cols: int) -> dict[int, int]:
+    """{col: int} numerators of an int or Fraction row of length cols; a dict is kept."""
+    if isinstance(row, dict):
+        return row
+    if len(row) != cols:
+        raise ValueError("vector length disagrees with ambient dimension")
+    w = {k: x for k, x in enumerate(row) if x}
+    if all(isinstance(x, int) for x in w.values()):
+        return w
+    e = lcm(*(x.denominator for x in w.values()))
+    return {k: x.numerator * (e // x.denominator) for k, x in w.items()}
 
-    w is reduced against the table, entry f against pivot p by
-    w <- (p/g)·w − (f/g)·row with g = gcd(p, f).  A nonzero remainder is
-    divided by its gcd, made positive at its first nonzero column c, cleared
-    from the other rows the same way (it is zero at their pivots, so they
-    stay positive there; each is then divided by its gcd) and stored at c.
+
+def dense(row: dict[int, int], cols: int) -> list[int]:
+    """The {col: int} row as a list of length cols."""
+    out = [0] * cols
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
+def combination(terms: Iterable[tuple]) -> dict:
+    """Σ c·row over the (c, row) terms, rows {col: value}, as {col: value} without zeros."""
+    out: dict = {}
+    for c, row in terms:
+        for k, x in row.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """a·u − b·v for {col: int} rows, zeros left out: `insert_row`'s two-term combination."""
+    out = {k: a * x for k, x in u.items()} if a != 1 else dict(u)
+    for k, y in v.items():
+        if x := out.get(k, 0) - b * y:
+            out[k] = x
+        else:
+            del out[k]
+    return out
+
+
+def insert_row(rows: dict[int, dict[int, int]], w: dict[int, int]) -> dict[int, int] | None:
+    """Add the row w to `rows`, a table {pivot: primitive row, positive there
+    and zero at every other pivot}; return the row stored, or None.  Rows are
+    {col: int} dicts without zeros; w is not changed.
+
+    w is reduced at the pivots in its support, entry f against pivot p by
+    w <- (p/g)·w − (f/g)·row with g = gcd(p, f); one pass suffices, as a stored
+    row is zero at the other pivots.  A nonzero remainder is divided by its
+    gcd, made positive at its first column c, cleared the same way from the
+    rows with an entry at c (each then divided by its gcd; it is zero at their
+    pivots, so they stay positive there) and stored at c.
     """
-    for c, row in rows.items():
-        f = w[c]
-        if f:
-            p = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            w = [a * x - b * y for x, y in zip(w, row)]
-    c = next((i for i, x in enumerate(w) if x), None)
-    if c is None:
+    for c in w.keys() & rows.keys():
+        p, f = rows[c][c], w[c]
+        g = gcd(p, f)
+        w = _combine(p // g, w, f // g, rows[c])
+    if not w:
         return None
-    h = gcd(*w)
-    h = h if w[c] > 0 else -h
+    c = min(w)
+    h = gcd(*w.values()) if w[c] > 0 else -gcd(*w.values())
     if h != 1:
-        w = [x // h for x in w]
+        w = {k: x // h for k, x in w.items()}
     p = w[c]
     for k, row in rows.items():
-        f = row[c]
-        if f:
+        if f := row.get(c):
             g = gcd(p, f)
-            a, b = p // g, f // g
-            row = [a * x - b * y for x, y in zip(row, w)]
-            h = gcd(*row)
-            rows[k] = [x // h for x in row] if h > 1 else row
+            row = _combine(p // g, row, f // g, w)
+            h = gcd(*row.values())
+            rows[k] = {j: x // h for j, x in row.items()} if h > 1 else row
     rows[c] = w
     return w
 
 
-def echelon_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Canonical integer echelon form of the span of int or Fraction rows of length cols.
+def echelon_rows(rows: Iterable, cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Canonical dense integer echelon rows and pivots of the span of int,
+    Fraction or {col: int} rows of length cols.
 
     Each row is primitive, positive at its pivot column and zero at the other
     pivot columns, so divided by its pivot entry it is the RREF row: the rows
     and pivots depend on the row space alone, not on the order of insertion.
     """
-    table: dict[int, list[int]] = {}
+    table: dict[int, dict[int, int]] = {}
     for r in rows:
-        insert_row(table, numerators(r)[0])
+        insert_row(table, sparse(r, cols))
     pivots = tuple(sorted(table))
-    return [table[c] for c in pivots], pivots
+    return [dense(table[c], cols) for c in pivots], pivots
 
 
 def kernel_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> list:
-    """Integer vectors spanning {x : row·x = 0 for every row}, for echelon rows.
+    """{col: int} vectors spanning {x : row·x = 0 for every row}, for echelon rows.
 
     One vector per non-pivot column f: δ at f and −(δ/q)·row[f] at each
     row's pivot, where q is the row's pivot entry and δ the lcm of them all.
     """
     d = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    out = []
-    for f in sorted(set(range(cols)).difference(pivots)):
-        v = [0] * cols
-        v[f] = d
-        for row, p in zip(rows, pivots):
-            v[p] = -(d // row[p]) * row[f]
-        out.append(v)
-    return out
+    return [{f: d} | {p: -(d // row[p]) * row[f] for row, p in zip(rows, pivots) if row[f]}
+            for f in sorted(set(range(cols)).difference(pivots))]
 
 
 class Matrix:
@@ -199,7 +231,7 @@ class Matrix:
         Row count is cols - rank by construction.
         """
         rows = kernel_rows(*echelon_rows(self.row_list(), self.cols), self.cols)
-        return Matrix.from_rows(rows, self.cols).rref()[0]
+        return Matrix.from_rows([dense(v, self.cols) for v in rows], self.cols).rref()[0]
 
     # -- value semantics ----------------------------------------------------
 

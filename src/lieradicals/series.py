@@ -30,6 +30,7 @@ from enum import Enum
 from typing import Callable
 
 from .core import LieAlgebra, NotAnIdealError
+from .linalg import dense
 from .subspace import Subspace
 
 
@@ -101,12 +102,12 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """
     L._check_ambient(ideal)
     n = L.dim
-    rows: dict[tuple[int, int], list[int]] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for i, row in enumerate(L.constants.adjoint):
         for j, col in row.items():
-            for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
+            for c, a in enumerate(ideal._reduce(dense(col, n))):
                 if a:
-                    rows.setdefault((j, c), [0] * n)[i] = a
+                    rows.setdefault((j, c), {})[i] = a
     u = Subspace.span(rows.values(), n).annihilator()
     if not ideal.leq(u):
         raise NotAnIdealError("upper extension requires an ideal")

@@ -40,11 +40,8 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        """Smallest subspace containing the int or Fraction rows, canonicalized."""
-        rows = list(vectors)
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("vector length disagrees with ambient dimension")
-        return cls(ambient_dim, *echelon_rows(rows, ambient_dim))
+        """Smallest subspace containing the int, Fraction or {col: int} rows."""
+        return cls(ambient_dim, *echelon_rows(vectors, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -144,9 +141,9 @@ class Subspace:
         applying the matrix to v gives the coordinates of v mod this subspace
         in the basis of standard vectors at those columns.
         """
-        n = self.ambient_dim
-        cols = [self.reduce([int(i == j) for i in range(n)]) for j in range(n)]
-        return Matrix.from_rows([[v[c] for v in cols] for c in self.free_columns()], n)
+        n, d = self.ambient_dim, self._delta
+        cols = [self._reduce([int(i == j) for i in range(n)]) for j in range(n)]
+        return Matrix.from_rows([divided([v[c] for v in cols], d) for c in self.free_columns()], n)
 
     def free_columns(self) -> list[int]:
         """The non-pivot columns, in increasing order."""

@@ -2,6 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lieradicals import catalog
 from lieradicals.algfile import (
@@ -175,6 +177,18 @@ def test_round_trip_every_catalog_entry():
         back = parse_algebra(text)
         assert back.constants == entry.algebra.constants, entry.name
         assert back.labels == entry.algebra.labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(catalog.entries()), st.data())
+def test_round_trip_catalog_entry_with_any_labels_the_constructor_accepts(entry, data):
+    L = entry.algebra
+    labels = data.draw(st.lists(st.text(max_size=4), min_size=L.dim, max_size=L.dim))
+    try:
+        relabelled = LieAlgebra(L.constants, labels)
+    except ValueError:
+        assume(False)
+    assert parse_algebra(render_algebra(relabelled, name=entry.name)) == relabelled
 
 
 def test_round_trip_dimension_zero():

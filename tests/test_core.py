@@ -95,6 +95,14 @@ def test_labels_must_be_unique():
         LieAlgebra.from_brackets(2, {}, labels=("a", "a"))
 
 
+@pytest.mark.parametrize("labels", [("x#1", "y"), ("x y", "z"), ("", "y"), ("x", "y\t"), ("x", "\u2028")])
+def test_labels_the_file_format_cannot_hold_are_refused(labels):
+    # render_algebra writes labels space-separated on the basis line, and the
+    # parser strips '#' comments and splits at whitespace.
+    with pytest.raises(ValueError, match="labels"):
+        LieAlgebra.from_brackets(2, {}, labels=labels)
+
+
 # -- brackets ----------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals.linalg import Matrix, divided, echelon_rows, insert_row, numerators
+from lieradicals.linalg import Matrix, dense, divided, echelon_rows, insert_row, numerators, sparse
 
 import reference
 from reference import apply, is_zero_vector, rank, trace, vdot, zeros
@@ -174,11 +174,30 @@ def _primitive(row):
     return [x // g for x in ints] if g > 1 else ints
 
 
+@st.composite
+def sparse_row_lists(draw, max_rows=8, max_cols=12):
+    """(rows, cols): sparse 0/±1 rows, each a {col: int} dict or a list, in
+    shuffled order.  A row often takes an earlier row's first column, so
+    reducing it fills in that row's other columns."""
+    cols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        support = draw(st.sets(st.integers(0, cols - 1), max_size=3))
+        earlier = [r for r in rows if r]
+        if earlier and draw(st.booleans()):
+            support.add(min(draw(st.sampled_from(earlier))))
+        rows.append({k: draw(st.sampled_from((1, -1))) for k in sorted(support)})
+    rows = draw(st.permutations(rows))
+    return [r if draw(st.booleans()) else dense(r, cols) for r in rows], cols
+
+
 def _check_table(table, cols):
-    """Each row primitive, positive at its pivot and zero at every other pivot."""
+    """Each row a {col: int} dict with no zero entries, primitive, positive at
+    its pivot, which is its first column, and with no entry at another pivot."""
     for c, row in table.items():
-        assert len(row) == cols and row[c] > 0 and math.gcd(*row) == 1
-        assert all(row[k] == 0 for k in table if k != c)
+        assert all(0 <= k < cols and type(x) is int and x for k, x in row.items())
+        assert min(row) == c and row[c] > 0 and math.gcd(*row.values()) == 1
+        assert not any(k in row for k in table if k != c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,6 +211,20 @@ def test_echelon_rows_match_column_sweep_and_fraction_rref(case):
     assert (rref, pivots) == reference.fraction_rref(Matrix.from_rows(rows, cols))
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_row_lists(), st.randoms(use_true_random=False))
+def test_echelon_rows_of_sparse_rows_match_column_sweep_and_fraction_rref(case, rng):
+    rows, cols = case
+    red, pivots = echelon_rows(rows, cols)
+    dense_rows = [dense(r, cols) if isinstance(r, dict) else r for r in rows]
+    ints = [r for r in map(_primitive, dense_rows) if any(r)]
+    assert (red, list(pivots)) == reference.column_sweep_echelon(ints, cols)
+    rref = Matrix.from_rows([divided(r, r[p]) for r, p in zip(red, pivots)], cols)
+    assert (rref, pivots) == reference.fraction_rref(Matrix.from_rows(dense_rows, cols))
+    rng.shuffle(rows)
+    assert echelon_rows(rows, cols) == (red, pivots)
+
+
 @settings(max_examples=40, deadline=None)
 @given(row_lists(max_rows=4, max_extra=2))
 def test_echelon_rows_do_not_depend_on_row_order(case):
@@ -201,22 +234,36 @@ def test_echelon_rows_do_not_depend_on_row_order(case):
         assert echelon_rows(order, cols) == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(row_lists())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(row_lists(), sparse_row_lists()))
 def test_insert_row_adds_exactly_the_independent_rows(case):
     rows, cols = case
+    rows = [dense(r, cols) if isinstance(r, dict) else r for r in rows]
     table, rank = {}, 0
     for k, r in enumerate(rows):
-        before = dict(table)
-        added = insert_row(table, numerators(r)[0])
+        before = {c: dict(row) for c, row in table.items()}
+        w = sparse(r, cols)
+        given_w = dict(w)
+        added = insert_row(table, w)
+        assert w == given_w
         new_rank = len(reference.fraction_rref(Matrix.from_rows(rows[: k + 1], cols))[1])
         if added is None:
             assert table == before
         else:
-            assert table[min(i for i, x in enumerate(added) if x)] is added
+            assert table[min(added)] is added
         assert (added is not None) == (new_rank > rank) and len(table) == new_rank
         _check_table(table, cols)
         rank = new_rank
+
+
+@given(st.lists(st.one_of(st.integers(-10**20, 10**20), small_fractions), max_size=6))
+def test_sparse_is_numerators_without_zeros(row):
+    got = sparse(row, len(row))
+    assert got == {k: x for k, x in enumerate(numerators(row)[0]) if x}
+    assert all(type(x) is int for x in got.values())
+    assert dense(got, len(row)) == numerators(row)[0] and sparse(got, len(row)) is got
+    with pytest.raises(ValueError, match="length"):
+        sparse(row, len(row) + 1)
 
 
 @given(st.lists(st.integers(-10**20, 10**20), max_size=6))

@@ -426,8 +426,10 @@ def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
     kernel = linalg.echelon_rows
 
     def record(rows, cols):
-        rows = tuple(tuple(r) for r in rows)
-        seen.setdefault((rows, cols), name)
+        # The kernel takes {col: int} rows too; record every row densely.
+        rows = list(rows)
+        dense = tuple(tuple(linalg.dense(r, cols) if isinstance(r, dict) else r) for r in rows)
+        seen.setdefault((dense, cols), name)
         return kernel(rows, cols)
 
     monkeypatch.setattr(linalg, "echelon_rows", record)

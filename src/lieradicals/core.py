@@ -285,13 +285,13 @@ class LieAlgebra:
         """Span of the pairwise brackets of the two bases: the ideal product.  A row y of
         b meets only the rows of a with an entry at some i with [e_i, e_j] stored, y_j ≠ 0."""
         self._check_ambient(a, b)
-        adj, holding = self.constants.adjoint, {}  # i -> the rows of a with an entry at i
+        by_right, holding = self._by_right, {}  # i -> the rows of a with an entry at i
         for xs in map(_support, a.int_rows):
             for i, _ in xs:
                 holding.setdefault(i, []).append(xs)
         vecs = []
         for ys in map(_support, b.int_rows):
-            linked = {id(xs): xs for j, _ in ys for i in adj[j] for xs in holding.get(i, ())}
+            linked = {id(xs): xs for j, _ in ys for i in by_right[j] for xs in holding.get(i, ())}
             vecs += filter(None, (self._bracket(xs, ys) for xs in linked.values()))
         return Subspace.span(vecs, self.dim)
 
@@ -303,16 +303,27 @@ class LieAlgebra:
         return not any(any(s._reduce(dense(b, n)))
                        for r in s.int_rows for b in self._basis_brackets(_support(r)))
 
+    @cached_property
+    def _by_right(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """_by_right[j] = {i: adjoint[i][j]}: the stored D·[e_i, e_j] by their right
+        factor.  Read as it is, it needs no antisymmetry, which a raw table (and a
+        nonzero [e_i, e_i]) does not have."""
+        by_right: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for i, row in enumerate(self.constants.adjoint):
+            for j, col in row.items():
+                by_right[j][i] = col
+        return tuple(by_right)
+
     def _basis_brackets(self, us: Iterable[tuple]) -> list[dict]:
-        """The nonzero D·[e_i, u] as {k: value}, in order of i, from the nonzero
-        (j, u_j) of u: one pass over u's support, since the table stores
-        D·[e_i, e_j] = −D·[e_j, e_i] in both orientations."""
+        """The nonzero D·[e_i, u] = Σ_j u_j·D·[e_i, e_j] as {k: value}, in order of
+        i, from the nonzero (j, u_j) of u: one pass over u's support."""
         out: dict[int, dict] = {}
+        by_right = self._by_right
         for j, x in us:
-            for i, col in self.constants.adjoint[j].items():
+            for i, col in by_right[j].items():
                 b = out.setdefault(i, {})
                 for k, v in col.items():
-                    b[k] = b.get(k, 0) - x * v
+                    b[k] = b.get(k, 0) + x * v
         return [b for i in sorted(out) if (b := {k: v for k, v in out[i].items() if v})]
 
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:

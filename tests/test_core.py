@@ -180,6 +180,19 @@ def test_ideal_closure_of_y(s32):
     assert s32.ideal_closure([(0, 1, 0)]) == span(3, (1, 0, 0), (0, 1, 0))
 
 
+def test_brackets_of_a_raw_table_read_the_stored_orientation():
+    """A raw table need not be antisymmetric: here only [e2, e3] is stored, and
+    [e3, e3] is nonzero.  Brackets are read as stored, never as −[e_j, e_i]."""
+    L = LieAlgebra(StructureConstants(3, {(1, 2): (0, F(-1, 2), F(2, 3)),
+                                          (2, 2): (0, 0, F(-3, 4))}))
+    s = span(3, (1, 1, 0), (0, 0, 1))
+    assert L.bracket_spaces(s, s) == span(3, (0, 1, 0), (0, 0, 1))
+    assert L.bracket_spaces(span(3, (0, 0, 1)), s) == span(3, (0, 0, 1))
+    assert L.ideal_closure([(0, 0, 1)]) == span(3, (0, 1, 0), (0, 0, 1))
+    assert not L.is_ideal(span(3, (0, 0, 1)))
+    assert L.is_ideal(span(3, (0, 1, 0), (0, 0, 1)))
+
+
 def test_ideal_closure_empty(s32):
     assert s32.ideal_closure([]).is_zero()
 

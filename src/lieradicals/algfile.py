@@ -70,7 +70,7 @@ def parse_algebra(text: str) -> LieAlgebra:
     """
     dim: int | None = None
     labels: tuple[str, ...] | None = None
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}  # (i, j) -> {k: c^k_ij}, 0-based
     seen_pairs: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,7 +126,7 @@ def parse_algebra(text: str) -> LieAlgebra:
                 )
             seen_pairs.add(key)
             rhs = m.group(3).strip()
-            vec = [Fraction(0)] * dim
+            terms: dict[int, Fraction] = {}  # repeated e_k add up; a zero sum is dropped later
             if rhs != "0":
                 for part in rhs.split("+"):
                     t = _TERM_RE.fullmatch(part.strip())
@@ -141,8 +141,8 @@ def parse_algebra(text: str) -> LieAlgebra:
                     k = _numeral(t.group(2), lineno)
                     if not (1 <= k <= dim):
                         raise ParseError(f"basis index e{k} out of range", lineno)
-                    vec[k - 1] += coeff
-            brackets[(i - 1, j - 1)] = vec
+                    terms[k - 1] = terms[k - 1] + coeff if k - 1 in terms else coeff
+            brackets[(i - 1, j - 1)] = terms
             continue
 
         raise ParseError(f"unrecognized line {line!r}", lineno)

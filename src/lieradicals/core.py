@@ -9,16 +9,16 @@ to a subalgebra, and quotients by ideals.
 `StructureConstants` holds the one copy of the constants: a sparse table of
 integers, ``adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the
 common denominator D of all the constants.  Its constructor is the one place
-a table is normalised; `from_brackets` adds the reverse orientations to its
-integers, and `restrict` and `quotient` compute their new constants in
-integers and divide them once by a common scalar.  `Fraction`s are made from
-the table only on request (`bracket_basis`, `pairs`).  Brackets of vectors,
-the axiom check, the Killing Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl
-(de Graaf, *Lie Algebras: Theory and Algorithms*, ch. 1) and the upper
-extension in `series` walk only its nonzero entries, so an abelian algebra
-costs next to nothing at any size.  Scaling by D keeps antisymmetry, Jacobi,
-spans and kernels, so these and the `Subspace` rows run on integers alone;
-`bracket` divides by D once, the Killing form by D².
+a table is normalised; it takes dense rows or sparse ``{k: value}`` ones (the
+parser's, and those `restrict` and `quotient` compute in integers), and
+`from_brackets` adds the reverse orientations.  `Fraction`s are made from the
+table only on request (`bracket_basis`, `pairs`).  Brackets of vectors, the
+Jacobi sums (term by term), the Killing Gram matrix
+K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory and
+Algorithms*, ch. 1) and the upper extension in `series` walk only its nonzero
+entries, so an abelian algebra costs next to nothing at any size.  Scaling by
+D keeps antisymmetry, Jacobi, spans and kernels, so these and `Subspace` rows
+run on integers alone; `bracket` divides by D once, the Killing form by D².
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -36,7 +36,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, combination, dense, divided, insert_row, sparse, vector
+from .linalg import Matrix, combination, dense, divided, frac, insert_row, sparse, vector
 from .subspace import Subspace
 
 
@@ -69,26 +69,29 @@ class StructureConstants:
     ``adjoint[i][j] = {k: a^k_ij}`` holds only the nonzero integers D·c^k_ij;
     both are read-only.  Both orientations of a pair are kept so lookups never
     need sign fixing.  Use :meth:`from_brackets` for normal construction (one
-    orientation given, the other derived); the constructor wraps a raw,
-    possibly non-antisymmetric table that validation should inspect.
+    orientation given, the other derived); the constructor wraps a raw table
+    of dense or ``{k: value}`` rows, possibly not antisymmetric, to validate.
     """
 
     __slots__ = ("dim", "denominator", "adjoint")
 
-    def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence]):
-        vecs: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence | dict]):
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), v in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"basis index out of range in bracket ({i}, {j})")
-            vec = vector(v)
-            if len(vec) != dim:
-                raise ValueError("bracket coefficient vector has wrong length")
-            if any(vec):
-                vecs[(i, j)] = vec
-        d = lcm(*(c.denominator for v in vecs.values() for c in v))
+            if not isinstance(v, dict):  # a dense coefficient sequence
+                if len(v := vector(v)) != dim:
+                    raise ValueError("bracket coefficient vector has wrong length")
+                v = dict(enumerate(v))
+            elif v and (min(v) < 0 or max(v) >= dim):
+                raise ValueError(f"basis index out of range in bracket ({i}, {j})")
+            if row := {k: c for k, x in v.items() if (c := frac(x))}:
+                rows[(i, j)] = row
+        d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
         adjoint: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for (i, j), v in vecs.items():
-            adjoint[i][j] = {k: c.numerator * (d // c.denominator) for k, c in enumerate(v) if c}
+        for (i, j), row in rows.items():
+            adjoint[i][j] = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "adjoint", tuple(adjoint))
@@ -194,11 +197,10 @@ class LieAlgebra:
 
         Returns the first violation found, in index order; violations are
         report data, not exceptions.  Checking Jacobi on basis triples
-        suffices by trilinearity, and a triple whose three basis brackets are
-        all zero satisfies it trivially, so only triples touching a nonzero
-        bracket are evaluated.
+        suffices by trilinearity.  Each sum J(i, j, k), i < j < k, is built
+        from its nonzero terms c^m_ab·c^l_mc alone, grouped by the smallest
+        index i (`notes/decisions.md`, "Jacobi by terms").
         """
-        n = self.dim
         adj = self.constants.adjoint
         bad_pairs = [
             (min(i, j), max(i, j))
@@ -217,29 +219,36 @@ class LieAlgebra:
                     f"[e{i + 1},e{j + 1}] != -[e{j + 1},e{i + 1}]"
                 ),
             )
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j in adj[i]:
-                    ks = range(j + 1, n)
-                else:  # only k with [e_j, e_k] or [e_k, e_i] nonzero matter
-                    ks = sorted(k for k in adj[i].keys() | adj[j].keys() if k > j)
-                for k in ks:
-                    s: dict[int, int] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        # [[e_a, e_b], e_c] = sum_m c^m_ab [e_m, e_c]
-                        for m, cm in adj[a].get(b, {}).items():
-                            for l, cl in adj[m].get(c, {}).items():
-                                s[l] = s.get(l, 0) + cm * cl
-                    if any(s.values()):
-                        return ValidationReport(
-                            ok=False,
-                            kind="jacobi",
-                            indices=(i + 1, j + 1, k + 1),
-                            message=(
-                                f"Jacobi identity fails on triple "
-                                f"(e{i + 1}, e{j + 1}, e{k + 1})"
-                            ),
-                        )
+        by_output: dict[int, list[tuple]] = {}  # m -> [(a, b, a^m_ab) for a < b]
+        for a, row in enumerate(adj):
+            for b, col in row.items():
+                if a < b:
+                    for m, v in col.items():
+                        by_output.setdefault(m, []).append((a, b, v))
+        for i, row in enumerate(adj):
+            # (j, k) -> the terms (coefficient, bracket row) of D²·J(i, j, k); [[e_i, e_x], e_c]
+            # belongs to J(i, x, c), or by antisymmetry with sign − to J(i, c, x)
+            terms: dict[tuple[int, int], list[tuple]] = {}
+            for x, col in row.items():
+                if x > i:
+                    for m, cm in col.items():
+                        for c, out in adj[m].items():
+                            if c > x:
+                                terms.setdefault((x, c), []).append((cm, out))
+                            elif i < c < x:
+                                terms.setdefault((c, x), []).append((-cm, out))
+                # [[e_a, e_b], e_i] = −Σ_x a^x_ab·[e_i, e_x] is a sum of terms of J(i, a, b)
+                for a, b, cm in by_output.get(x, ()):
+                    if a > i:
+                        terms.setdefault((a, b), []).append((-cm, col))
+            for j, k in sorted(terms):
+                s: dict[int, int] = {}  # D²·J(i, j, k)
+                for f, out in terms[j, k]:
+                    for l, cl in out.items():
+                        s[l] = s.get(l, 0) + f * cl
+                if any(s.values()):
+                    message = f"Jacobi identity fails on triple (e{i + 1}, e{j + 1}, e{k + 1})"
+                    return ValidationReport(False, "jacobi", (i + 1, j + 1, k + 1), message)
         return ValidationReport(ok=True)
 
     # -- vectors and spaces ----------------------------------------------------
@@ -410,7 +419,8 @@ class LieAlgebra:
                 if any(s._reduce(w)):
                     raise NotClosedError("subspace is not closed under the bracket")
                 if p < q:
-                    table[(p, q)] = divided([w[c] for c in s.pivots], scale)
+                    table[(p, q)] = {a: Fraction(w[c], scale)
+                                     for a, c in enumerate(s.pivots) if w[c]}
         return LieAlgebra(StructureConstants.from_brackets(s.dim, table))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
@@ -441,6 +451,7 @@ class LieAlgebra:
             for j, col in row.items():
                 if i < j and i in index and j in index:
                     w = ideal._reduce(dense(col, n))
-                    table[(index[i], index[j])] = divided([w[c] for c in free], scale)
+                    table[(index[i], index[j])] = {a: Fraction(w[c], scale)
+                                                   for a, c in enumerate(free) if w[c]}
         labels = tuple(self.labels[c] for c in free)
         return LieAlgebra(StructureConstants.from_brackets(len(free), table), labels)

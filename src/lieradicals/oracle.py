@@ -97,13 +97,17 @@ class TheoremReport:
 
 
 def random_ideal(L: LieAlgebra, seed: int) -> Subspace:
-    """Ideal closure of one or two random small-integer vectors."""
-    rng = random.Random(seed)
-    count = rng.randint(1, 2)
-    vecs = [
-        [rng.randint(-2, 2) for _ in range(L.dim)] for _ in range(count)
-    ]
-    return L.ideal_closure(vecs)
+    """Ideal closure of one or two random small-integer vectors: the values of
+    `randint(1, 2)`, then of `randint(-2, 2)` per entry, from `random.Random(seed)`."""
+    bits = random.Random(seed).getrandbits
+
+    def below(w: int, k: int) -> int:  # randint's draw, k = w.bit_length(), without its layers
+        while (r := bits(k)) >= w:
+            pass
+        return r
+
+    count = 1 + below(2, 2)
+    return L.ideal_closure([[below(5, 3) - 2 for _ in range(L.dim)] for _ in range(count)])
 
 
 def _sparse_candidate(rng: random.Random, dim: int) -> LieAlgebra:
@@ -111,7 +115,7 @@ def _sparse_candidate(rng: random.Random, dim: int) -> LieAlgebra:
     k = rng.randint(0, min(3, len(pairs)))
     brackets = {}
     for (i, j) in rng.sample(pairs, k):
-        vec = [0] * dim
+        vec = {}
         for _ in range(rng.randint(1, 2)):
             vec[rng.randrange(dim)] = rng.choice((-2, -1, 1, 2))
         brackets[(i, j)] = vec

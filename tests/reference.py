@@ -7,14 +7,15 @@ reference routines are the package's earlier implementations of the RREF
 (over `Fraction`s, and the column sweep of the integer kernel), the Killing
 Gram matrix and its orthogonal, the upper extension (dense, and the stacked
 integer form behind its own `is_ideal` test), the ideal predicates that test
-`is_ideal` before they compute, the axiom check, subspace intersection, the
-ideal closure and ideal test, reduction modulo a subspace, the quotient
-algebra, and the construction of constants from one orientation per pair and
-by restriction through `Fraction` tables, kept as slow paths that the faster
-code is compared against entry by entry.  The dense `Fraction` matrix and
-vector arithmetic that only these slow paths and the tests use (`apply`,
-`trace`, `rank`, `zeros`, `vdot`, ...) are plain functions here, apart from
-`Matrix`.
+`is_ideal` before they compute, the axiom check (over every pair and
+triple, and the triple loop `validate` ran before it summed the Jacobi terms),
+subspace intersection, the ideal closure and ideal test, reduction modulo a
+subspace, the quotient algebra, and the construction of constants from one
+orientation per pair and by restriction through `Fraction` tables, kept as
+slow paths that the faster code is compared against entry by entry.  The
+dense `Fraction` matrix and vector arithmetic that only these slow paths and
+the tests use (`apply`, `trace`, `rank`, `zeros`, `vdot`, ...) are plain
+functions here, apart from `Matrix`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from lieradicals.core import LieAlgebra, NotAnIdealError, NotClosedError, StructureConstants
+from lieradicals.core import (
+    LieAlgebra,
+    NotAnIdealError,
+    NotClosedError,
+    StructureConstants,
+    ValidationReport,
+)
 from lieradicals.linalg import Matrix, vector
 from lieradicals.subspace import Subspace
 
@@ -392,6 +399,55 @@ def dense_validate(L: LieAlgebra) -> tuple:
                 if not is_zero_vector(s):
                     return (False, "jacobi", (i + 1, j + 1, k + 1))
     return (True, None, ())
+
+
+def triple_validate(L: LieAlgebra) -> ValidationReport:
+    """`LieAlgebra.validate` as it was before the Jacobi sums were built from
+    their terms: antisymmetry on the stored pairs, then every triple i < j < k
+    in index order that touches a stored bracket, three bracket lookups each."""
+    n = L.dim
+    adj = L.constants.adjoint
+    bad_pairs = [
+        (min(i, j), max(i, j))
+        for i, row in enumerate(adj)
+        for j, col in row.items()
+        if adj[j].get(i, {}) != {k: -v for k, v in col.items()}
+    ]
+    if bad_pairs:
+        i, j = min(bad_pairs)
+        return ValidationReport(
+            ok=False,
+            kind="antisymmetry",
+            indices=(i + 1, j + 1),
+            message=(
+                f"antisymmetry fails on (e{i + 1}, e{j + 1}): "
+                f"[e{i + 1},e{j + 1}] != -[e{j + 1},e{i + 1}]"
+            ),
+        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j in adj[i]:
+                ks = range(j + 1, n)
+            else:  # only k with [e_j, e_k] or [e_k, e_i] nonzero matter
+                ks = sorted(k for k in adj[i].keys() | adj[j].keys() if k > j)
+            for k in ks:
+                s: dict[int, int] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    # [[e_a, e_b], e_c] = sum_m c^m_ab [e_m, e_c]
+                    for m, cm in adj[a].get(b, {}).items():
+                        for l, cl in adj[m].get(c, {}).items():
+                            s[l] = s.get(l, 0) + cm * cl
+                if any(s.values()):
+                    return ValidationReport(
+                        ok=False,
+                        kind="jacobi",
+                        indices=(i + 1, j + 1, k + 1),
+                        message=(
+                            f"Jacobi identity fails on triple "
+                            f"(e{i + 1}, e{j + 1}, e{k + 1})"
+                        ),
+                    )
+    return ValidationReport(ok=True)
 
 
 def fraction_reduce(s: Subspace, v) -> tuple[tuple, tuple]:

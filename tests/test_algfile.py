@@ -53,6 +53,16 @@ def test_parse_repeated_term_coefficients_accumulate():
     assert L.constants.bracket_basis(0, 1) == (Fraction(2), Fraction(0))
 
 
+def test_parse_cancelling_terms_store_no_bracket():
+    L = parse_algebra("dim 2\n[1,2] = 1*e1 + -1*e1\n")
+    assert L.constants.adjoint == ({}, {})
+
+
+def test_parse_repeated_terms_store_their_sum():
+    L = parse_algebra("dim 2\n[1,2] = 1*e1 + 1*e1\n")
+    assert L.constants.adjoint == ({1: {0: 2}}, {0: {0: -2}})
+
+
 def test_duplicate_bracket_either_orientation():
     with pytest.raises(ParseError) as err:
         parse_algebra("dim 3\n[1,2] = 1*e1\n[2,1] = 1*e1\n")

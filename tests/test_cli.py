@@ -109,6 +109,23 @@ def test_json_output_is_byte_stable(good_file, capsys):
     assert v1 == v2
 
 
+@pytest.mark.parametrize("brackets,center,derived", [
+    ("", 256, [256, 0]),
+    ("[1,2] = 1*e3\n", 254, [256, 1, 0]),
+])
+def test_analyze_json_at_dim_256(tmp_path, capsys, brackets, center, derived):
+    p = tmp_path / "wide.alg"
+    p.write_text("dim 256\n" + brackets)
+    assert main(["analyze", "--json", str(p)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dim"] == 256
+    assert [t["dim"] for t in data["series"]["derived"]] == derived
+    assert [t["dim"] for t in data["series"]["lower_central"]] == derived
+    assert data["center"]["dim"] == center
+    assert data["radical"]["dim"] == 256 and data["perfect_radical"]["dim"] == 0
+    assert data["flags"]["abelian"] == (not brackets) and data["flags"]["nilpotent"]
+
+
 def test_analyze_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.alg"
     p.write_text(BAD_SYNTAX)

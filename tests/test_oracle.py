@@ -43,6 +43,29 @@ def test_random_ideal_deterministic(s32):
     assert random_ideal(s32, 42) == random_ideal(s32, 42)
 
 
+class _Recorder:
+    """Stands in for an algebra of the given dimension: its ideal closure
+    returns the vectors it is given."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def ideal_closure(self, vectors):
+        return vectors
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 7])
+def test_random_ideal_draws_the_values_of_randint(dim):
+    """The vectors are those `randint` draws from the same seed, on the
+    running interpreter: the count by `randint(1, 2)`, each entry by
+    `randint(-2, 2)`."""
+    for seed in range(2000):
+        rng = random.Random(seed)
+        count = rng.randint(1, 2)
+        expected = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(count)]
+        assert random_ideal(_Recorder(dim), seed) == expected
+
+
 def test_random_ideal_is_ideal(sl2s32):
     for seed in range(30):
         assert sl2s32.is_ideal(random_ideal(sl2s32, seed))

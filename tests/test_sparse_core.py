@@ -5,10 +5,11 @@ adjoint table; `reference.dense_killing` and `reference.dense_upper_extension`
 are the dense `ad`-matrix computations they replaced.  Both are compared
 entry by entry on the catalog, the seeded random corpus, the matrix-unit
 families up to dimension 16, three of them again in a dense rational basis,
-and abelian algebras.  `LieAlgebra.validate`, which skips the Jacobi triples
-that touch no nonzero bracket and works on the constants scaled to integers,
-is compared with the check over every pair and triple on random raw tables,
-most of them invalid, with integer constants and with denominators.
+and abelian algebras.  `LieAlgebra.validate`, which sums each Jacobi triple
+from its nonzero terms and works on the constants scaled to integers,
+is compared with the check over every pair and triple, and its whole report
+with the triple loop it replaced (`reference.triple_validate`), on random raw
+tables, most of them invalid, with integer constants and with denominators.
 `LieAlgebra.ideal_closure`, which brackets L once with each echelon row it
 adds, is compared with `reference.naive_ideal_closure`, which brackets L
 with the whole subspace every round, on random vectors of every input and,
@@ -33,7 +34,9 @@ and `restrict`, which brackets scaled integer rows, with
 `reference.fraction_restrict`, which takes `Fraction` coordinates, on the
 ideals `verify` restricts to and on spans that may not be closed.
 `from_brackets`, which completes the constructor's integer table, is compared
-with `reference.fraction_from_brackets` on random tables under hypothesis.
+with `reference.fraction_from_brackets` on random tables under hypothesis, and
+rows given as `{k: value}` dicts must build the table of the dense rows they
+spell.
 
 `validate` and `reference.dense_validate` read the same integer table, so the
 table itself is checked against the raw input it was built from: every
@@ -481,6 +484,7 @@ def _check_against_full_validate(tables):
         L = LieAlgebra(constants)
         report = L.validate()
         assert (report.ok, report.kind, report.indices) == reference.dense_validate(L)
+        assert report == reference.triple_validate(L)
         kinds.add(report.kind)
     assert kinds == {None, "antisymmetry", "jacobi"}
 
@@ -496,6 +500,7 @@ def test_validate_with_denominators_matches_the_full_check():
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_valid_inputs_pass_both_checks(name, L):
     assert L.validate().ok and reference.dense_validate(L)[0]
+    assert reference.triple_validate(L).ok
 
 
 # -- the integer tensor against the table it was given ----------------------------
@@ -584,3 +589,39 @@ def test_from_brackets_matches_fraction_table(dim, data):
         assert expected is ValueError or not any(Fraction(x) for v in out_of_range for x in v)
     else:
         assert got == expected
+
+
+# -- dict rows and dense rows ----------------------------------------------------------
+
+ENTRIES = (0, "0", Fraction(0), 1, -1, 2, "3/4", Fraction(2, 3), Fraction(-1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_dict_rows_build_the_table_of_the_dense_rows(dim, data):
+    """The same rows as dicts, holding every nonzero entry and some of the zero
+    ones, whatever they spell zero with."""
+    index = st.integers(0, dim - 1)
+    rows = st.lists(st.sampled_from(ENTRIES), min_size=dim, max_size=dim)
+    dense = data.draw(st.dictionaries(st.tuples(index, index), rows, max_size=6))
+    sparse = {key: {k: x for k, x in enumerate(v) if Fraction(x) or data.draw(st.booleans())}
+              for key, v in dense.items()}
+    assert StructureConstants(dim, sparse) == StructureConstants(dim, dense)
+    built = _outcome(StructureConstants.from_brackets, dim, sparse)
+    assert built == _outcome(StructureConstants.from_brackets, dim, dense)
+
+
+def test_dict_row_of_zeros_stores_no_bracket():
+    for zero in (0, "0", Fraction(0)):
+        c = StructureConstants.from_brackets(2, {(0, 1): {0: zero, 1: zero}})
+        assert c.adjoint == ({}, {}) and c.denominator == 1
+    c = StructureConstants(2, {(0, 1): {0: "0", 1: Fraction(3, 4)}})
+    assert c.adjoint == ({1: {1: 3}}, {}) and c.denominator == 4
+
+
+@pytest.mark.parametrize("key", [-1, 2, 5])
+@pytest.mark.parametrize("value", [1, 0, "0"])
+def test_dict_row_key_out_of_range_is_a_value_error(key, value):
+    for build in (StructureConstants, StructureConstants.from_brackets):
+        with pytest.raises(ValueError):
+            build(2, {(0, 1): {0: 1, key: value}})

@@ -22,7 +22,7 @@ from .core import (
     StructureConstants,
     ValidationReport,
 )
-from .linalg import Matrix, Rational
+from .linalg import Matrix
 from .oracle import (
     PROPOSITION_IDS,
     PropositionCheck,
@@ -73,7 +73,6 @@ __all__ = [
     "ParseError",
     "ProfileReport",
     "PropositionCheck",
-    "Rational",
     "SeriesKind",
     "SeriesReport",
     "StructureConstants",

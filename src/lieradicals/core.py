@@ -142,11 +142,6 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, nonzero={nonzero})"
 
 
-def _support(x: Sequence) -> list[tuple]:
-    """The nonzero coordinates of x as (index, value) pairs."""
-    return [(i, xi) for i, xi in enumerate(x) if xi]
-
-
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(dim))
 
@@ -270,20 +265,20 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """[x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i and stored brackets."""
-        d = self.constants.denominator
-        x = [a / d for a in vector(x)]
-        y = vector(y)
+        d, x, y = self.constants.denominator, vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length disagrees with the algebra dimension")
-        return vector(dense(self._bracket(_support(x), _support(y)), self.dim))
+        xs = {i: a / d for i, a in enumerate(x) if a}
+        ys = {j: b for j, b in enumerate(y) if b}
+        return vector(dense(self._bracket(xs, ys), self.dim))
 
-    def _bracket(self, xs: Iterable[tuple], ys: Sequence[tuple]) -> dict:
-        """D·[x, y] as {k: value} without zeros, from the nonzero (i, x_i) of x
-        and (j, y_j) of y, in the type of the inputs."""
+    def _bracket(self, x: dict, y: dict) -> dict:
+        """D·[x, y] as {k: value} without zeros, for x and y given as {i: x_i}
+        without zeros, in the type of their values."""
         out, adj = {}, self.constants.adjoint
-        for i, xi in xs:
+        for i, xi in x.items():
             row = adj[i]
-            for j, yj in ys:
+            for j, yj in y.items():
                 if col := row.get(j):
                     c = xi * yj
                     for k, v in col.items():
@@ -295,22 +290,20 @@ class LieAlgebra:
         b meets only the rows of a with an entry at some i with [e_i, e_j] stored, y_j ≠ 0."""
         self._check_ambient(a, b)
         by_right, holding = self._by_right, {}  # i -> the rows of a with an entry at i
-        for xs in map(_support, a.int_rows):
-            for i, _ in xs:
-                holding.setdefault(i, []).append(xs)
+        for x in a.int_rows:
+            for i in x:
+                holding.setdefault(i, []).append(x)
         vecs = []
-        for ys in map(_support, b.int_rows):
-            linked = {id(xs): xs for j, _ in ys for i in by_right[j] for xs in holding.get(i, ())}
-            vecs += filter(None, (self._bracket(xs, ys) for xs in linked.values()))
+        for y in b.int_rows:
+            linked = {id(x): x for j in y for i in by_right[j] for x in holding.get(i, ())}
+            vecs += filter(None, (self._bracket(x, y) for x in linked.values()))
         return Subspace.span(vecs, self.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: by bilinearity, iff every nonzero
         D·[e_i, r] for a basis row r of s reduces to zero modulo s."""
         self._check_ambient(s)
-        n = self.dim
-        return not any(any(s._reduce(dense(b, n)))
-                       for r in s.int_rows for b in self._basis_brackets(_support(r)))
+        return not any(s._reduce(b) for r in s.int_rows for b in self._basis_brackets(r))
 
     @cached_property
     def _by_right(self) -> tuple[dict[int, dict[int, int]], ...]:
@@ -323,12 +316,12 @@ class LieAlgebra:
                 by_right[j][i] = col
         return tuple(by_right)
 
-    def _basis_brackets(self, us: Iterable[tuple]) -> list[dict]:
+    def _basis_brackets(self, u: dict) -> list[dict]:
         """The nonzero D·[e_i, u] = Σ_j u_j·D·[e_i, e_j] as {k: value}, in order of
-        i, from the nonzero (j, u_j) of u: one pass over u's support."""
+        i, for u given as {j: u_j} without zeros: one pass over u's support."""
         out: dict[int, dict] = {}
         by_right = self._by_right
-        for j, x in us:
+        for j, x in u.items():
             for i, col in by_right[j].items():
                 b = out.setdefault(i, {})
                 for k, v in col.items():
@@ -350,9 +343,9 @@ class LieAlgebra:
             if len(rows) == n:
                 return Subspace.full(n)
             if u is not None:
-                todo += self._basis_brackets(u.items())
+                todo += self._basis_brackets(u)
         pivots = sorted(rows)
-        return Subspace(n, [dense(rows[p], n) for p in pivots], pivots)
+        return Subspace(n, [rows[p] for p in pivots], pivots)
 
     # -- adjoint and Killing form -----------------------------------------------
 
@@ -395,7 +388,7 @@ class LieAlgebra:
         """{x : K(x, y) = 0 for all y in s}; an ideal whenever s is one."""
         self._check_ambient(s)
         # K is symmetric, so the constraint of a basis row y is D²·K applied to y.
-        constraints = [combination((yj, self._killing[j]) for j, yj in _support(y))
+        constraints = [combination((yj, self._killing[j]) for j, yj in y.items())
                        for y in s.int_rows]
         return Subspace.span(constraints, self.dim).annihilator()
 
@@ -409,18 +402,17 @@ class LieAlgebra:
         Raises NotClosedError if [s, s] is not contained in s.
         """
         self._check_ambient(s)
-        d = s._delta
-        rows = [[(d // r[p]) * x for x in r] for r, p in zip(s.int_rows, s.pivots)]
+        d, index = s._delta, {c: a for a, c in enumerate(s.pivots)}
+        rows = [{k: (d // r[p]) * x for k, x in r.items()} for r, p in zip(s.int_rows, s.pivots)]
         scale, table = self.constants.denominator * d * d, {}
-        supports = [_support(r) for r in rows]
-        for p, xs in enumerate(supports):
-            for q, ys in enumerate(supports):
-                w = dense(self._bracket(xs, ys), self.dim)
-                if any(s._reduce(w)):
+        for p, x in enumerate(rows):
+            for q, y in enumerate(rows):
+                w = self._bracket(x, y)
+                if s._reduce(w):
                     raise NotClosedError("subspace is not closed under the bracket")
                 if p < q:
-                    table[(p, q)] = {a: Fraction(w[c], scale)
-                                     for a, c in enumerate(s.pivots) if w[c]}
+                    table[(p, q)] = {index[c]: Fraction(v, scale) for c, v in w.items()
+                                     if c in index}
         return LieAlgebra(StructureConstants.from_brackets(s.dim, table))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
@@ -444,14 +436,13 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise NotAnIdealError("quotient requires an ideal")
-        n, free = self.dim, ideal.free_columns()
+        free = ideal.free_columns()
         index = {c: a for a, c in enumerate(free)}
         scale, table = ideal._delta * self.constants.denominator, {}
         for i, row in enumerate(self.constants.adjoint):
             for j, col in row.items():
-                if i < j and i in index and j in index:
-                    w = ideal._reduce(dense(col, n))
-                    table[(index[i], index[j])] = {a: Fraction(w[c], scale)
-                                                   for a, c in enumerate(free) if w[c]}
+                if i < j and i in index and j in index:  # the remainder holds only free keys
+                    table[(index[i], index[j])] = {index[c]: Fraction(x, scale)
+                                                   for c, x in ideal._reduce(col).items()}
         labels = tuple(self.labels[c] for c in free)
         return LieAlgebra(StructureConstants.from_brackets(len(free), table), labels)

@@ -7,9 +7,10 @@ rows keyed by pivot column, fraction-free (Bareiss 1968) and touching nonzero
 entries only; it alone divides the rows it stores by their gcd.
 :func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`,
 converts each int, Fraction or dict row once (:func:`sparse`) and returns
-dense sorted rows; ``LieAlgebra.ideal_closure`` grows one table as it
-brackets.  Everything else is built on these, and ``Fraction`` values are made
-only when a row is divided by its pivot entry (:func:`divided`).
+the table's ``{col: int}`` rows in pivot order; ``LieAlgebra.ideal_closure``
+grows one table as it brackets.  Everything else is built on these rows; dense
+rows are made only for a :class:`Matrix` or output (:func:`dense`), and
+``Fraction`` values when a row is divided by its pivot entry (:func:`divided`).
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
 `killing_matrix`, `Subspace.quotient_projection` and `Subspace.basis` return,
 and it keeps only `rref`, `kernel`, `@`, `transpose`, `identity` and
@@ -21,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -55,11 +54,7 @@ def sparse(row, cols: int) -> dict[int, int]:
         return row
     if len(row) != cols:
         raise ValueError("vector length disagrees with ambient dimension")
-    w = {k: x for k, x in enumerate(row) if x}
-    if all(isinstance(x, int) for x in w.values()):
-        return w
-    e = lcm(*(x.denominator for x in w.values()))
-    return {k: x.numerator * (e // x.denominator) for k, x in w.items()}
+    return {k: x for k, x in enumerate(numerators(row)[0]) if x}
 
 
 def dense(row: dict[int, int], cols: int) -> list[int]:
@@ -79,15 +74,19 @@ def combination(terms: Iterable[tuple]) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
-def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
-    """a·u − b·v for {col: int} rows, zeros left out: `insert_row`'s two-term combination."""
-    out = {k: a * x for k, x in u.items()} if a != 1 else dict(u)
+def subtract(out: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """out − b·v for {col: int} rows without zeros, b ≠ 0, made in place in out."""
     for k, y in v.items():
         if x := out.get(k, 0) - b * y:
             out[k] = x
         else:
             del out[k]
     return out
+
+
+def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """a·u − b·v for {col: int} rows, zeros left out: `insert_row`'s two-term combination."""
+    return subtract({k: a * x for k, x in u.items()} if a != 1 else dict(u), b, v)
 
 
 def insert_row(rows: dict[int, dict[int, int]], w: dict[int, int]) -> dict[int, int] | None:
@@ -123,9 +122,9 @@ def insert_row(rows: dict[int, dict[int, int]], w: dict[int, int]) -> dict[int, 
     return w
 
 
-def echelon_rows(rows: Iterable, cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Canonical dense integer echelon rows and pivots of the span of int,
-    Fraction or {col: int} rows of length cols.
+def echelon_rows(rows: Iterable, cols: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """Canonical {col: int} echelon rows, in pivot order, and the pivots of the
+    span of int, Fraction or {col: int} rows of length cols.
 
     Each row is primitive, positive at its pivot column and zero at the other
     pivot columns, so divided by its pivot entry it is the RREF row: the rows
@@ -135,17 +134,18 @@ def echelon_rows(rows: Iterable, cols: int) -> tuple[list[list[int]], tuple[int,
     for r in rows:
         insert_row(table, sparse(r, cols))
     pivots = tuple(sorted(table))
-    return [dense(table[c], cols) for c in pivots], pivots
+    return [table[c] for c in pivots], pivots
 
 
-def kernel_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> list:
-    """{col: int} vectors spanning {x : row·x = 0 for every row}, for echelon rows.
+def kernel_rows(rows: Sequence[dict[int, int]], pivots: Sequence[int], cols: int) -> list:
+    """{col: int} vectors spanning {x : row·x = 0 for every row}, for {col: int}
+    echelon rows.
 
     One vector per non-pivot column f: δ at f and −(δ/q)·row[f] at each
     row's pivot, where q is the row's pivot entry and δ the lcm of them all.
     """
     d = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    return [{f: d} | {p: -(d // row[p]) * row[f] for row, p in zip(rows, pivots) if row[f]}
+    return [{f: d} | {p: -(d // row[p]) * row[f] for row, p in zip(rows, pivots) if f in row}
             for f in sorted(set(range(cols)).difference(pivots))]
 
 
@@ -223,7 +223,8 @@ class Matrix:
         preserved, which makes the result a canonical form for subspaces.
         """
         red, pivots = echelon_rows(self.row_list(), self.cols)
-        return Matrix.from_rows([divided(r, r[c]) for r, c in zip(red, pivots)], self.cols), pivots
+        rows = [divided(dense(r, self.cols), r[c]) for r, c in zip(red, pivots)]
+        return Matrix.from_rows(rows, self.cols), pivots
 
     def kernel(self) -> "Matrix":
         """Basis of the right null space {v : self @ v = 0}, rows in RREF.

@@ -180,12 +180,8 @@ def _preimage(L: LieAlgebra, ideal: Subspace, h: Subspace) -> Subspace:
     Quotient coordinates index the free columns of the ideal's basis, as in
     `LieAlgebra.quotient`, so h's integer rows lift to those columns.
     """
-    free, lifts = ideal.free_columns(), []
-    for row in h.int_rows:
-        v = [0] * L.dim
-        for c, x in zip(free, row):
-            v[c] = x
-        lifts.append(v)
+    free = ideal.free_columns()
+    lifts = [{free[k]: x for k, x in row.items()} for row in h.int_rows]
     return Subspace.span(lifts + list(ideal.int_rows), L.dim)
 
 

@@ -30,7 +30,6 @@ from enum import Enum
 from typing import Callable
 
 from .core import LieAlgebra, NotAnIdealError
-from .linalg import dense
 from .subspace import Subspace
 
 
@@ -101,14 +100,12 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     ideal test; otherwise this raises NotAnIdealError.  U(I) is again an ideal.
     """
     L._check_ambient(ideal)
-    n = L.dim
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i, row in enumerate(L.constants.adjoint):
         for j, col in row.items():
-            for c, a in enumerate(ideal._reduce(dense(col, n))):
-                if a:
-                    rows.setdefault((j, c), {})[i] = a
-    u = Subspace.span(rows.values(), n).annihilator()
+            for c, a in ideal._reduce(col).items():
+                rows.setdefault((j, c), {})[i] = a
+    u = Subspace.span(rows.values(), L.dim).annihilator()
     if not ideal.leq(u):
         raise NotAnIdealError("upper extension requires an ideal")
     return u

@@ -1,13 +1,14 @@
 """Canonical linear subspaces of the ambient coordinate space.
 
-A :class:`Subspace` keeps the canonical integer rows of `linalg.echelon_rows`
-(its RREF basis rows scaled to coprime integers) and their pivots, so two
-subspaces are equal exactly when those rows are: every containment/equality
-question in the package is a syntactic check, with no tolerances anywhere.
-Reduction stays in integers too: with δ the lcm of the pivot entries q_r, the
-row B_r = (δ/q_r)·row_r is δ times RREF row r, and RREF rows vanish at the
-other pivots, so δ·(v mod the subspace) = δ·v − Σ_r v[p_r]·B_r.  Fractions
-are made only on request (`basis`, `rows()`, `reduce`).
+A :class:`Subspace` keeps the canonical ``{col: int}`` rows of
+`linalg.echelon_rows` (its RREF basis rows scaled to coprime integers, zeros
+left out) and their pivots, so two subspaces are equal exactly when those rows
+are: every containment/equality question in the package is a syntactic check,
+with no tolerances anywhere.  Reduction stays in integers too: with δ the lcm
+of the pivot entries q_r, the row B_r = (δ/q_r)·row_r is δ times RREF row r,
+and RREF rows vanish at the other pivots, so δ·(v mod the subspace) =
+δ·v − Σ_r v[p_r]·B_r, one update per pivot in v's support.  Dense rows and
+Fractions are made only on request (`basis`, `rows()`, `reduce`).
 """
 
 from __future__ import annotations
@@ -17,20 +18,22 @@ from functools import cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, divided, echelon_rows, kernel_rows, numerators, vector
+from .linalg import (Matrix, dense, divided, echelon_rows, kernel_rows, numerators, sparse,
+                     subtract, vector)
 
 
 class Subspace:
     """A subspace of Q^n, canonicalized by its integer echelon rows."""
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "_delta", "_basis")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_by_pivot", "_delta", "_basis")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]], pivots: Iterable[int]):
+    def __init__(self, ambient_dim: int, rows: Iterable[dict[int, int]], pivots: Iterable[int]):
         # `rows` and `pivots` must already be canonical, as `echelon_rows`
         # gives them; use span() for arbitrary generating sets.
-        rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
-        delta = lcm(*(r[p] for r, p in zip(rows, pivots)))
-        for name, value in zip(self.__slots__, (ambient_dim, rows, pivots, delta, None)):
+        rows, pivots = tuple(rows), tuple(pivots)
+        by_pivot = dict(zip(pivots, rows))
+        delta = lcm(*(r[p] for p, r in by_pivot.items()))
+        for name, value in zip(self.__slots__, (ambient_dim, rows, pivots, by_pivot, delta, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
@@ -51,7 +54,7 @@ class Subspace:
     @cache  # subspaces are immutable, so one full space per dimension serves all
     def full(cls, ambient_dim: int) -> "Subspace":
         n = ambient_dim
-        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)], range(n))
+        return cls(n, [{i: 1} for i in range(n)], range(n))
 
     # -- basic queries -----------------------------------------------------
 
@@ -69,21 +72,22 @@ class Subspace:
     def basis(self) -> Matrix:
         """The RREF basis, a matrix of Fractions made on first use."""
         if self._basis is None:
-            rows = [divided(r, r[p]) for r, p in zip(self.int_rows, self.pivots)]
-            object.__setattr__(self, "_basis", Matrix.from_rows(rows, self.ambient_dim))
+            n = self.ambient_dim
+            rows = [divided(dense(r, n), r[p]) for r, p in zip(self.int_rows, self.pivots)]
+            object.__setattr__(self, "_basis", Matrix.from_rows(rows, n))
         return self._basis
 
     def rows(self) -> list[tuple[Fraction, ...]]:
         return self.basis.row_list()
 
-    def _reduce(self, u: Sequence[int]) -> list[int]:
-        """δ·(u mod this subspace) for an integer vector u: δ·u − Σ_r u[p_r]·B_r."""
-        d = self._delta
-        w = [d * x for x in u]
-        for r, p in zip(self.int_rows, self.pivots):
-            if u[p]:
-                c = u[p] * (d // r[p])
-                w = [a - c * b for a, b in zip(w, r)]
+    def _reduce(self, u: dict[int, int]) -> dict[int, int]:
+        """δ·(u mod this subspace) for a {col: int} row u, as such a row:
+        δ·u − Σ_r u[p_r]·B_r over the pivots p_r in u's support, one pass, as
+        each row is zero at the other pivots."""
+        d, by_pivot = self._delta, self._by_pivot
+        w = {k: d * x for k, x in u.items()}
+        for p in u.keys() & by_pivot.keys():
+            subtract(w, u[p] * (d // by_pivot[p][p]), by_pivot[p])
         return w
 
     def reduce(self, v: Sequence) -> tuple[Fraction, ...]:
@@ -93,18 +97,11 @@ class Subspace:
         representative of v modulo this subspace.
         """
         u, e = numerators(vector(v))  # v = u / e
-        if len(u) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        return divided(self._reduce(u), self._delta * e)
+        w = self._reduce(sparse(u, self.ambient_dim))
+        return divided(dense(w, self.ambient_dim), self._delta * e)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
-
-    def coordinates(self, v: Sequence) -> tuple[Fraction, ...] | None:
-        """Coefficients of v against the RREF basis, or None if v is outside:
-        v's entries at the pivots, since RREF rows vanish at the other pivots."""
-        v = vector(v)
-        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
     # -- lattice operations --------------------------------------------------
 
@@ -132,7 +129,7 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return not any(any(other._reduce(r)) for r in self.int_rows)
+        return not any(map(other._reduce, self.int_rows))
 
     def quotient_projection(self) -> Matrix:
         """Projection onto the complementary standard coordinates.
@@ -142,8 +139,9 @@ class Subspace:
         in the basis of standard vectors at those columns.
         """
         n, d = self.ambient_dim, self._delta
-        cols = [self._reduce([int(i == j) for i in range(n)]) for j in range(n)]
-        return Matrix.from_rows([divided([v[c] for v in cols], d) for c in self.free_columns()], n)
+        cols = [self._reduce({j: 1}) for j in range(n)]
+        return Matrix.from_rows([divided([v.get(c, 0) for v in cols], d)
+                                 for c in self.free_columns()], n)
 
     def free_columns(self) -> list[int]:
         """The non-pivot columns, in increasing order."""
@@ -157,7 +155,8 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.int_rows))
+        # Equal rows may list their keys in different orders.
+        return hash((self.ambient_dim, *(frozenset(r.items()) for r in self.int_rows)))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)

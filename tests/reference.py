@@ -336,15 +336,17 @@ def _require_ideal(L: LieAlgebra, s: Subspace) -> None:
 
 def checked_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """U(I) after a separate `is_ideal` test: the kernel of the stacked rows
-    (j, c), coordinate c of [x, e_j] mod I, built from the integer adjoint."""
+    (j, c), coordinate c of [x, e_j] mod I, each [e_i, e_j] of the adjoint
+    reduced by `fraction_reduce`, which shares no code with `Subspace._reduce`."""
     _require_ideal(L, ideal)
     n = L.dim
-    rows: dict[tuple[int, int], list[int]] = {}
+    rows: dict[tuple[int, int], list[Fraction]] = {}
     for i, row in enumerate(L.constants.adjoint):
-        for j, col in row.items():
-            for c, a in enumerate(ideal._reduce([col.get(k, 0) for k in range(n)])):
+        for j in row:
+            rest = fraction_reduce(ideal, L.constants.bracket_basis(i, j))[1]
+            for c, a in enumerate(rest):
                 if a:
-                    rows.setdefault((j, c), [0] * n)[i] = a
+                    rows.setdefault((j, c), [ZERO] * n)[i] = a
     return Subspace.span(rows.values(), n).annihilator()
 
 
@@ -548,7 +550,7 @@ def fraction_restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     table = {}
     for p in range(len(rows)):
         for q in range(p + 1, len(rows)):
-            coords = s.coordinates(L.bracket(rows[p], rows[q]))
-            assert coords is not None  # guaranteed by closure
+            coords, rest = fraction_reduce(s, L.bracket(rows[p], rows[q]))
+            assert is_zero_vector(rest)  # guaranteed by closure
             table[(p, q)] = coords
     return LieAlgebra(fraction_from_brackets(s.dim, table))

@@ -205,6 +205,7 @@ def _check_table(table, cols):
 def test_echelon_rows_match_column_sweep_and_fraction_rref(case):
     rows, cols = case
     red, pivots = echelon_rows(rows, cols)
+    red = [dense(r, cols) for r in red]
     ints = [r for r in map(_primitive, rows) if any(r)]
     assert (red, list(pivots)) == reference.column_sweep_echelon(ints, cols)
     rref = Matrix.from_rows([divided(r, r[p]) for r, p in zip(red, pivots)], cols)
@@ -215,14 +216,15 @@ def test_echelon_rows_match_column_sweep_and_fraction_rref(case):
 @given(sparse_row_lists(), st.randoms(use_true_random=False))
 def test_echelon_rows_of_sparse_rows_match_column_sweep_and_fraction_rref(case, rng):
     rows, cols = case
-    red, pivots = echelon_rows(rows, cols)
+    table, pivots = echelon_rows(rows, cols)
+    red = [dense(r, cols) for r in table]
     dense_rows = [dense(r, cols) if isinstance(r, dict) else r for r in rows]
     ints = [r for r in map(_primitive, dense_rows) if any(r)]
     assert (red, list(pivots)) == reference.column_sweep_echelon(ints, cols)
     rref = Matrix.from_rows([divided(r, r[p]) for r, p in zip(red, pivots)], cols)
     assert (rref, pivots) == reference.fraction_rref(Matrix.from_rows(dense_rows, cols))
     rng.shuffle(rows)
-    assert echelon_rows(rows, cols) == (red, pivots)
+    assert echelon_rows(rows, cols) == (table, pivots)
 
 
 @settings(max_examples=40, deadline=None)

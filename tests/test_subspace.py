@@ -174,8 +174,34 @@ def test_contains_and_coordinates():
     a = span((1, 0, 1), (0, 1, 1))
     assert (1, 1, 2) in a
     assert (1, 1, 1) not in a
-    assert a.coordinates((1, 1, 2)) == (1, 1)
-    assert a.coordinates((1, 1, 1)) is None
+
+
+def test_equal_spans_hash_equal_whatever_the_row_and_key_order():
+    """Shuffled, scaled and dict spellings of one generating set, some of them
+    with the keys of a row in reverse order, give one subspace: equal, with
+    equal hashes, and one member of a set.  The rows of the spans differ in
+    their key order, which the hash must not see."""
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        vecs = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        spellings = [Subspace.span(vecs, n)]
+        for _ in range(4):
+            order = rng.sample(vecs, len(vecs))
+            scaled = [[c * x for x in v] for v, c in zip(order, rng.choices((1, -1, 2, -5), k=len(order)))]
+            items = [[(k, x) for k, x in enumerate(v) if x] for v in scaled]
+            spellings += [Subspace.span(scaled, n),
+                          Subspace.span([dict(reversed(r)) for r in items], n),
+                          Subspace.span([dict(rng.sample(r, len(r))) for r in items], n)]
+        first = spellings[0]
+        assert all(s == first and hash(s) == hash(first) for s in spellings)
+        assert len(set(spellings)) == 1
+    # Spans whose rows hold the same entries in another key order.
+    a = Subspace.span([{0: 1, 2: 1}, {1: 1, 2: 1}], 3)
+    b = Subspace.span([{2: 1, 1: 1}, {2: 1, 0: 1}], 3)
+    assert [list(r) for r in a.int_rows] != [list(r) for r in b.int_rows]
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_quotient_projection_kills_the_subspace():

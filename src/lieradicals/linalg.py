@@ -7,10 +7,12 @@ rows keyed by pivot column, fraction-free (Bareiss 1968) and touching nonzero
 entries only; it alone divides the rows it stores by their gcd.
 :func:`echelon_rows`, behind ``Subspace.span`` and :meth:`Matrix.rref`,
 converts each int, Fraction or dict row once (:func:`sparse`) and returns
-the table's ``{col: int}`` rows in pivot order; ``LieAlgebra.ideal_closure``
-grows one table as it brackets.  Everything else is built on these rows; dense
-rows are made only for a :class:`Matrix` or output (:func:`dense`), and
-``Fraction`` values when a row is divided by its pivot entry (:func:`divided`).
+the table's ``{col: int}`` rows in pivot order; given a rank, it stops pulling
+rows at it, so a series step stops at the term that bounds it.
+``LieAlgebra.ideal_closure`` grows one table as it brackets.  Everything else
+is built on these rows; dense rows are made only for a :class:`Matrix` or
+output (:func:`dense`), and ``Fraction`` values when a row is divided by its
+pivot entry (:func:`divided`).
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
 `killing_matrix`, `Subspace.quotient_projection` and `Subspace.basis` return,
 and it keeps only `rref`, `kernel`, `@`, `transpose`, `identity` and
@@ -122,17 +124,22 @@ def insert_row(rows: dict[int, dict[int, int]], w: dict[int, int]) -> dict[int, 
     return w
 
 
-def echelon_rows(rows: Iterable, cols: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+def echelon_rows(rows: Iterable, cols: int,
+                 rank: int | None = None) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     """Canonical {col: int} echelon rows, in pivot order, and the pivots of the
     span of int, Fraction or {col: int} rows of length cols.
 
     Each row is primitive, positive at its pivot column and zero at the other
     pivot columns, so divided by its pivot entry it is the RREF row: the rows
     and pivots depend on the row space alone, not on the order of insertion.
+    Given a `rank`, no row is pulled from `rows` after the insertion that gives
+    the table that rank: for rows known to lie in a space of dimension `rank`,
+    the table then spans that space, and its rows are the space's own.
     """
     table: dict[int, dict[int, int]] = {}
     for r in rows:
-        insert_row(table, sparse(r, cols))
+        if insert_row(table, sparse(r, cols)) and len(table) == rank:
+            break
     pivots = tuple(sorted(table))
     return [table[c] for c in pivots], pivots
 

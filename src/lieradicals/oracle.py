@@ -197,32 +197,16 @@ def naive_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
     sets; the upper central series is rebuilt as the preimage of the center
     of the quotient algebra at each step.
     """
-    if kind is SeriesKind.DERIVED:
-
-        def step(t: Subspace) -> Subspace:
-            gens = _redundant_spanning(t)
-            return Subspace.span(
-                [L.bracket(u, v) for u in gens for v in gens], L.dim
-            )
-
-        return iterate_series(kind, L.full_space(), step)
-
-    if kind is SeriesKind.LOWER_CENTRAL:
-        left = _redundant_spanning(L.full_space())
-
-        def step(t: Subspace) -> Subspace:
-            gens = _redundant_spanning(t)
-            return Subspace.span(
-                [L.bracket(u, v) for u in left for v in gens], L.dim
-            )
-
-        return iterate_series(kind, L.full_space(), step)
+    if kind is SeriesKind.UPPER_CENTRAL:
+        return iterate_series(kind, L.zero_space(),
+                              lambda t: _preimage(L, t, _stacked_center(L.quotient(t))))
 
     def step(t: Subspace) -> Subspace:
-        Q = L.quotient(t)
-        return _preimage(L, t, _stacked_center(Q))
+        gens = _redundant_spanning(t)
+        left = gens if kind is SeriesKind.DERIVED else _redundant_spanning(L.full_space())
+        return Subspace.span([L.bracket(u, v) for u in left for v in gens], L.dim)
 
-    return iterate_series(kind, L.zero_space(), step)
+    return iterate_series(kind, L.full_space(), step)
 
 
 # -- theorem verification -----------------------------------------------------------

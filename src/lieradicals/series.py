@@ -8,6 +8,10 @@ Three ideal chains organize a finite-dimensional Lie algebra:
   U(I) = {x : [x, L] contained in I} is the upper extension of I.
 
 Each chain is monotone in dimension, so it stabilizes after at most n steps.
+The descending ones share L(1) = L^1 = D(L) = [L, L], which `profile` forms once.
+By bilinearity each of their terms holds the next, so each product stops
+eliminating once it has the dimension of the term it comes from; the last,
+stabilizing step stops there (`notes/decisions.md`, "Bounded products").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -66,25 +70,30 @@ def iterate_series(
     kind: SeriesKind, first: Subspace, step: Callable[[Subspace], Subspace]
 ) -> SeriesReport:
     """Iterate `step` from `first` until the first repeated term."""
-    terms = [first]
-    while True:
-        nxt = step(terms[-1])
-        terms.append(nxt)
-        if nxt == terms[-2]:
-            return SeriesReport(kind, tuple(terms), len(terms) - 2)
+    terms = [first, step(first)]
+    while terms[-1] != terms[-2]:
+        terms.append(step(terms[-1]))
+    return SeriesReport(kind, tuple(terms), len(terms) - 2)
 
 
-def derived_series(L: LieAlgebra) -> SeriesReport:
-    return iterate_series(
-        SeriesKind.DERIVED, L.full_space(), lambda t: L.bracket_spaces(t, t)
-    )
+def derived_subalgebra(L: LieAlgebra) -> Subspace:
+    """D(L) = [L, L], term 1 of both descending series."""
+    return L.bracket_spaces(L.full_space(), L.full_space())
 
 
-def lower_central_series(L: LieAlgebra) -> SeriesReport:
-    full = L.full_space()
-    return iterate_series(
-        SeriesKind.LOWER_CENTRAL, full, lambda t: L.bracket_spaces(full, t)
-    )
+def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace | None, left: Callable):
+    """L, then D(L) (`d1` if the caller has formed it), then [left(t), t] bounded by t."""
+    d1 = derived_subalgebra(L) if d1 is None else d1
+    return iterate_series(kind, L.full_space(),
+                          lambda t: d1 if t.is_full() else L.bracket_spaces(left(t), t, t))
+
+
+def derived_series(L: LieAlgebra, derived: Subspace | None = None) -> SeriesReport:
+    return _descending(SeriesKind.DERIVED, L, derived, lambda t: t)
+
+
+def lower_central_series(L: LieAlgebra, derived: Subspace | None = None) -> SeriesReport:
+    return _descending(SeriesKind.LOWER_CENTRAL, L, derived, lambda t: L.full_space())
 
 
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
@@ -140,12 +149,6 @@ def center(L: LieAlgebra) -> Subspace:
     return upper_extension(L, L.zero_space())
 
 
-def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    """D(L) = [L, L]."""
-    full = L.full_space()
-    return L.bracket_spaces(full, full)
-
-
 def radical(L: LieAlgebra) -> Subspace:
     """Largest solvable ideal, via the Killing-orthogonal complement of D(L)."""
     return L.killing_orthogonal(derived_subalgebra(L))
@@ -198,11 +201,12 @@ def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [s, s] = s (a perfect Lie algebra in its own right)."""
     if not L.is_ideal(s):
         raise NotAnIdealError("subspace is not an ideal")
-    return L.bracket_spaces(s, s) == s
+    return L.bracket_spaces(s, s, s) == s  # an ideal s holds [s, s]
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s."""
+    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s, so the
+    product is formed with no bound: that containment is what it tests."""
     p = L.bracket_spaces(L.full_space(), s)
     if not p.leq(s):
         raise NotAnIdealError("subspace is not an ideal")
@@ -252,10 +256,9 @@ class ProfileReport:
 
 def profile(L: LieAlgebra) -> ProfileReport:
     """Compute the three series, the radicals and all flags in one pass."""
-    der = derived_series(L)
-    low = lower_central_series(L)
+    d1 = derived_subalgebra(L)  # D(L) = [L, L], formed once for both series
+    der, low = derived_series(L, d1), lower_central_series(L, d1)
     upp = upper_central_series(L)
-    d1 = der.terms[1]  # D(L) = [L, L], formed once here
     rad = L.killing_orthogonal(d1)  # radical(L)
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple
     # also cross-checks that against the form's kernel, which tests exercise.

@@ -42,9 +42,12 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        """Smallest subspace containing the int, Fraction or {col: int} rows."""
-        return cls(ambient_dim, *echelon_rows(vectors, ambient_dim))
+    def span(cls, vectors: Iterable[Sequence], ambient_dim: int, rank: int | None = None
+             ) -> "Subspace":
+        """Smallest subspace containing the int, Fraction or {col: int} rows.  With a
+        `rank`, the rows must lie in a subspace of that dimension, which is returned
+        as soon as they reach it; `vectors` is read lazily (`echelon_rows`)."""
+        return cls(ambient_dim, *echelon_rows(vectors, ambient_dim, rank))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -10,9 +10,11 @@ integer form behind its own `is_ideal` test), the ideal predicates that test
 `is_ideal` before they compute, the axiom check (over every pair and
 triple, and the triple loop `validate` ran before it summed the Jacobi terms),
 subspace intersection, the ideal closure and ideal test, reduction modulo a
-subspace, the quotient algebra, and the construction of constants from one
-orientation per pair and by restriction through `Fraction` tables, kept as
-slow paths that the faster code is compared against entry by entry.  The
+subspace, the quotient algebra, the construction of constants from one
+orientation per pair and by restriction through `Fraction` tables, and the
+descending series from the unbounded product, which brackets every pair of
+basis rows and forms [L, L] afresh in each series, kept as slow paths that the
+faster code is compared against entry by entry.  The
 dense `Fraction` matrix and vector arithmetic that only these slow paths and
 the tests use (`apply`, `trace`, `rank`, `zeros`, `vdot`, ...) are plain
 functions here, apart from `Matrix`.
@@ -31,6 +33,7 @@ from lieradicals.core import (
     ValidationReport,
 )
 from lieradicals.linalg import Matrix, vector
+from lieradicals.series import ProfileReport, SeriesKind, SeriesReport, upper_central_series
 from lieradicals.subspace import Subspace
 
 ZERO = Fraction(0)
@@ -554,3 +557,37 @@ def fraction_restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
             assert is_zero_vector(rest)  # guaranteed by closure
             table[(p, q)] = coords
     return LieAlgebra(fraction_from_brackets(s.dim, table))
+
+
+def unbounded_product(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    """[a, b] as the span of the brackets of every pair of integer basis rows,
+    all of them eliminated: no bound, and no pair left out."""
+    return Subspace.span([L._bracket(x, y) for x in a.int_rows for y in b.int_rows], L.dim)
+
+
+def unbounded_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:
+    """The derived or lower central series from `unbounded_product`, starting
+    from its own [L, L], through the first repeated term."""
+    full = L.full_space()
+    terms = [full]
+    while len(terms) < 2 or terms[-1] != terms[-2]:
+        t = terms[-1]
+        terms.append(unbounded_product(L, t if kind is SeriesKind.DERIVED else full, t))
+    return SeriesReport(kind, tuple(terms), len(terms) - 2)
+
+
+def unbounded_profile(L: LieAlgebra) -> ProfileReport:
+    """`profile` with both descending series and D(L) from `unbounded_product`;
+    the upper central series and the Killing orthogonal are the package's own."""
+    der = unbounded_series(L, SeriesKind.DERIVED)
+    low = unbounded_series(L, SeriesKind.LOWER_CENTRAL)
+    upp = upper_central_series(L)
+    d1 = unbounded_product(L, L.full_space(), L.full_space())
+    rad = L.killing_orthogonal(d1)
+    return ProfileReport(
+        derived=der, lower_central=low, upper_central=upp,
+        perfect_radical=der.stable_term, near_perfect_radical=low.stable_term, radical=rad,
+        center=upp.terms[1], smallest_upper_bounded=upp.stable_term,
+        solvable=der.stable_term.is_zero(), nilpotent=low.stable_term.is_zero(),
+        perfect=d1.is_full(), abelian=d1.is_zero(), semisimple=L.dim > 0 and rad.is_zero(),
+    )

@@ -27,6 +27,18 @@ both, and `upper_extension` raises exactly when `is_ideal` is False.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
 
+The derived and lower central series, whose products stop at the rank of
+the term that bounds them, are compared term by term with
+`reference.unbounded_series`, which eliminates the brackets of every pair
+and forms [L, L] afresh, and the whole `profile` with
+`reference.unbounded_profile`: on the matrix-unit ladder up to gl8 and n14
+and, under hypothesis, on random-corpus algebras in their own and a rational
+basis and on random raw tables.  A monkeypatched `insert_row` shows that the
+stabilizing steps insert no row once their table has the bound's rank, and
+that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which tests the
+containment such a bound assumes, still rejects non-ideals whose product has
+their dimension.
+
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce` and `contains` with
 `reference.fraction_reduce` on every subspace that `profile` builds,
@@ -62,6 +74,7 @@ from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
 from lieradicals.linalg import Matrix
 from lieradicals.oracle import random_algebras, random_ideal
 from lieradicals.series import (
+    SeriesKind,
     derived_series,
     is_near_perfect_ideal,
     is_perfect_ideal,
@@ -425,6 +438,96 @@ def test_ideal_closure_stops_at_rank_n(name, monkeypatch):
     assert ranks.index(n) == len(ranks) - 1
 
 
+#: The matrix-unit ladder up to gl8 (dim 64), and n14 (dim 91), whose lower
+#: central series takes 13 steps to reach 0.
+BOUNDED_LADDER = reference.matrix_unit_ladder(64) + ["n14"]
+
+
+def _check_descending_against_unbounded(L):
+    assert derived_series(L) == reference.unbounded_series(L, SeriesKind.DERIVED)
+    assert lower_central_series(L) == reference.unbounded_series(L, SeriesKind.LOWER_CENTRAL)
+    assert _outcome(profile, L) == _outcome(reference.unbounded_profile, L)
+
+
+@pytest.mark.parametrize("name", BOUNDED_LADDER)
+def test_descending_series_match_unbounded_products_on_the_ladder(name):
+    """Each bounded product, term by term, and the whole profile, with its one
+    [L, L], against the products of every pair with no bound."""
+    _check_descending_against_unbounded(reference.build(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own", "rational", "raw")))
+def test_descending_series_match_unbounded_products_on_random_algebras(seed, k, basis):
+    """A random-corpus algebra in its own or the rational basis, or a random raw
+    table, one-sided and with [x, x] ≠ 0, where the bound still holds: it rests
+    on bilinearity alone."""
+    L = random_algebras(k + 1, 4, seed)[k]
+    if basis == "rational":
+        L = reference.rebase(L)
+    elif basis == "raw":
+        dim, table = next(_random_tables(1, seed, RATIONAL_VALUES))
+        L = LieAlgebra(StructureConstants(dim, table))
+    _check_descending_against_unbounded(L)
+
+
+@pytest.mark.parametrize("name", ["gl4", "sl3", "rational-gl3"])
+def test_descending_products_stop_at_the_bounding_term(name, monkeypatch):
+    """Each series' stabilizing step, and [s, s] in `is_perfect_ideal`, inserts
+    no row once its table has the rank of the term that bounds it; `profile`
+    forms [L, L] once for both descending series."""
+    L = reference.build(name)
+    spans, products = [], []  # (rank, table size after each insertion); (a, b)
+    echelon_rows, insert_row = linalg.echelon_rows, linalg.insert_row
+    bracket_spaces = LieAlgebra.bracket_spaces
+
+    def record_span(rows, cols, rank=None):
+        spans.append((rank, []))
+        return echelon_rows(rows, cols, rank)
+
+    def record_insert(rows, w):
+        added = insert_row(rows, w)
+        spans[-1][1].append(len(rows))
+        return added
+
+    def record_product(self, a, b, *bound):
+        products.append((a, b))
+        return bracket_spaces(self, a, b, *bound)
+
+    def assert_stopped(rank):
+        got, sizes = spans[-1]
+        assert got == rank and sizes.index(rank) == len(sizes) - 1
+
+    monkeypatch.setattr(subspace, "echelon_rows", record_span)
+    monkeypatch.setattr(linalg, "insert_row", record_insert)
+    monkeypatch.setattr(LieAlgebra, "bracket_spaces", record_product)
+    for series in (lower_central_series, derived_series):
+        stable = series(L).stable_term
+        assert_stopped(stable.dim)
+    assert is_perfect_ideal(L, stable)
+    assert_stopped(stable.dim)
+    products.clear()
+    prof = profile(L)
+    monkeypatch.undo()
+    full = L.full_space()
+    assert products.count((full, full)) == 1
+    assert prof == reference.unbounded_profile(L)
+
+
+@pytest.mark.parametrize("name,col,product", [("heis3", 0, [[0, 0, 1]]),
+                                              ("sl2", 1, [[1, 0, 0], [0, 1, 0]])],
+                         ids=["heis3", "sl2"])
+def test_near_perfect_ideal_test_forms_an_unbounded_product(name, col, product):
+    """s = span(e_col) is no ideal, and [L, s] has at least its dimension: in
+    heis3, [L, e1] = span(e3); in sl2, the first bracket [h, e] = 2e lies in s, so
+    a product bounded by s would stop there, equal to s, and pass a non-ideal."""
+    L = catalog.get(name).algebra
+    s = Subspace.span([[int(i == col) for i in range(3)]], 3)
+    assert L.bracket_spaces(L.full_space(), s) == Subspace.span(product, 3)
+    with pytest.raises(NotAnIdealError):
+        is_near_perfect_ideal(L, s)
+
+
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
 def test_profile_semisimple_agrees_with_form_cross_check(name, L):
     assert profile(L).semisimple == is_semisimple(L)
@@ -440,12 +543,12 @@ def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
     seen = {}
     kernel = linalg.echelon_rows
 
-    def record(rows, cols):
+    def record(rows, cols, *rank):
         # The kernel takes {col: int} rows too; record every row densely.
         rows = list(rows)
         dense = tuple(tuple(linalg.dense(r, cols) if isinstance(r, dict) else r) for r in rows)
         seen.setdefault((dense, cols), name)
-        return kernel(rows, cols)
+        return kernel(rows, cols, *rank)
 
     monkeypatch.setattr(linalg, "echelon_rows", record)
     monkeypatch.setattr(subspace, "echelon_rows", record)

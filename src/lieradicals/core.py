@@ -168,6 +168,9 @@ class LieAlgebra:
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "labels", labels)
 
+    def __setattr__(self, name, value):  # the cached brackets and form would go stale
+        raise AttributeError("LieAlgebra is immutable")
+
     @classmethod
     def from_brackets(
         cls,
@@ -285,22 +288,22 @@ class LieAlgebra:
                         out[k] = out.get(k, 0) + c * v
         return {k: v for k, v in out.items() if v}
 
-    def bracket_spaces(self, a: Subspace, b: Subspace, bound: Subspace | None = None) -> Subspace:
-        """Span of the pairwise brackets of the two bases: the ideal product.  A row y of
-        b meets only the rows of a with an entry at some i with [e_i, e_j] stored, y_j ≠ 0.
+    def bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
+        """Span of the pairwise brackets of the two bases: the ideal product [a, b]."""
+        return Subspace.span(self._brackets(a, b), self.dim, self.dim)
 
-        The brackets are formed lazily and no more are formed once their span has
-        the dimension of `bound` (n by default); the product is then `bound`.  A
-        `bound` must be known to contain the product, never tested by it."""
-        self._check_ambient(a, b, bound or a)
+    def _brackets(self, a: Subspace, b: Subspace):
+        """The nonzero D·[x, y] for basis rows x of a and y of b, formed lazily.  A row
+        y of b meets only the rows of a with an entry at some i with [e_i, e_j] stored,
+        y_j ≠ 0; the other pairs bracket to zero.  `series` reads it up to a bound."""
+        self._check_ambient(a, b)
         by_right, holding = self._by_right, {}  # i -> the rows of a with an entry at i
         for x in a.int_rows:
             for i in x:
                 holding.setdefault(i, []).append(x)
-        vecs = (w for y in b.int_rows  # with the rows of a linked to y, each once
+        return (w for y in b.int_rows  # with the rows of a linked to y, each once
                 for x in {id(r): r for j in y for i in by_right[j] for r in holding.get(i, ())}
                 .values() if (w := self._bracket(x, y)))
-        return Subspace.span(vecs, self.dim, self.dim if bound is None else bound.dim)
 
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: by bilinearity, iff every nonzero

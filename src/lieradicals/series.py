@@ -9,9 +9,9 @@ Three ideal chains organize a finite-dimensional Lie algebra:
 
 Each chain is monotone in dimension, so it stabilizes after at most n steps.
 The descending ones share L(1) = L^1 = D(L) = [L, L], which `profile` forms once.
-By bilinearity each of their terms holds the next, so each product stops
-eliminating once it has the dimension of the term it comes from; the last,
-stabilizing step stops there (`notes/decisions.md`, "Bounded products").
+By bilinearity each of their terms holds the next, so a later step reads its
+brackets (`LieAlgebra._brackets`) only until they span the term's dimension; this
+module is the one place a product stops early (`notes/decisions.md`, "Bounded products").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -81,19 +81,19 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
     return L.bracket_spaces(L.full_space(), L.full_space())
 
 
-def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace | None, left: Callable):
-    """L, then D(L) (`d1` if the caller has formed it), then [left(t), t] bounded by t."""
-    d1 = derived_subalgebra(L) if d1 is None else d1
-    return iterate_series(kind, L.full_space(),
-                          lambda t: d1 if t.is_full() else L.bracket_spaces(left(t), t, t))
+def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace) -> SeriesReport:
+    """L, then d1 = D(L), then each [t, t] or [L, t] bounded by the term t, which holds it."""
+    derived = kind is SeriesKind.DERIVED
+    return iterate_series(kind, L.full_space(), lambda t: d1 if t.is_full() else Subspace.span(
+        L._brackets(t if derived else L.full_space(), t), L.dim, t.dim))
 
 
-def derived_series(L: LieAlgebra, derived: Subspace | None = None) -> SeriesReport:
-    return _descending(SeriesKind.DERIVED, L, derived, lambda t: t)
+def derived_series(L: LieAlgebra) -> SeriesReport:
+    return _descending(SeriesKind.DERIVED, L, derived_subalgebra(L))
 
 
-def lower_central_series(L: LieAlgebra, derived: Subspace | None = None) -> SeriesReport:
-    return _descending(SeriesKind.LOWER_CENTRAL, L, derived, lambda t: L.full_space())
+def lower_central_series(L: LieAlgebra) -> SeriesReport:
+    return _descending(SeriesKind.LOWER_CENTRAL, L, derived_subalgebra(L))
 
 
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
@@ -201,12 +201,12 @@ def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [s, s] = s (a perfect Lie algebra in its own right)."""
     if not L.is_ideal(s):
         raise NotAnIdealError("subspace is not an ideal")
-    return L.bracket_spaces(s, s, s) == s  # an ideal s holds [s, s]
+    return Subspace.span(L._brackets(s, s), L.dim, s.dim) == s  # an ideal s holds [s, s]
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s, so the
-    product is formed with no bound: that containment is what it tests."""
+    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s, which the
+    full product `bracket_spaces` is formed to test."""
     p = L.bracket_spaces(L.full_space(), s)
     if not p.leq(s):
         raise NotAnIdealError("subspace is not an ideal")
@@ -257,7 +257,7 @@ class ProfileReport:
 def profile(L: LieAlgebra) -> ProfileReport:
     """Compute the three series, the radicals and all flags in one pass."""
     d1 = derived_subalgebra(L)  # D(L) = [L, L], formed once for both series
-    der, low = derived_series(L, d1), lower_central_series(L, d1)
+    der, low = (_descending(k, L, d1) for k in (SeriesKind.DERIVED, SeriesKind.LOWER_CENTRAL))
     upp = upper_central_series(L)
     rad = L.killing_orthogonal(d1)  # radical(L)
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple

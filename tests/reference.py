@@ -561,8 +561,20 @@ def fraction_restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
 
 def unbounded_product(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """[a, b] as the span of the brackets of every pair of integer basis rows,
-    all of them eliminated: no bound, and no pair left out."""
-    return Subspace.span([L._bracket(x, y) for x in a.int_rows for y in b.int_rows], L.dim)
+    all of them eliminated: no bound, and no pair left out.  Each bracket is
+    summed here, entry by entry, over the stored integer constants, with no
+    code shared with `LieAlgebra`; its zero entries are dropped, as the kernel
+    takes {col: int} rows without zeros."""
+    adj, vecs = L.constants.adjoint, []
+    for x in a.int_rows:
+        for y in b.int_rows:
+            w: dict[int, int] = {}
+            for i, xi in x.items():
+                for j, yj in y.items():
+                    for k, c in adj[i].get(j, {}).items():
+                        w[k] = w.get(k, 0) + xi * yj * c
+            vecs.append({k: v for k, v in w.items() if v})
+    return Subspace.span(vecs, L.dim)
 
 
 def unbounded_series(L: LieAlgebra, kind: SeriesKind) -> SeriesReport:

@@ -6,8 +6,9 @@ here would break only that traced run, so this test resolves every name the
 way `Tracer.install` does: a method must be defined on the class itself, and
 a module function must be an attribute of its module.  A traced run of
 `profile` also shows that the upper central series reaches the traced
-`series.upper_extension`, and a traced `verify` that its factor algebras go
-through the traced `LieAlgebra.quotient`.
+`series.upper_extension`, a traced `verify` that its factor algebras go
+through the traced `LieAlgebra.quotient`, and a traced descending series
+that each of its products, bounded or not, is one traced `Subspace.span`.
 """
 
 from __future__ import annotations
@@ -72,3 +73,16 @@ def test_verify_reaches_the_traced_quotient():
 
     layers = _traced_layers(lambda: oracle.verify_theorems(catalog.get("s3_2").algebra, samples=5))
     assert layers["core.quotient"]["calls"] >= 2
+
+
+@pytest.mark.parametrize("name", ["s3_2", "sl2", "heis3", "sl2_plus_s3_2"])
+@pytest.mark.parametrize("kind", ["derived_series", "lower_central_series"])
+def test_series_steps_reach_the_traced_span(kind, name):
+    """Every term after L, D(L) and each bounded step, is one traced
+    `Subspace.span`, so the run counts the elimination of every step."""
+    from lieradicals import catalog, series
+
+    reports = []
+    layers = _traced_layers(
+        lambda: reports.append(getattr(series, kind)(catalog.get(name).algebra)))
+    assert layers["subspace.span"]["calls"] == len(reports[0].terms) - 1

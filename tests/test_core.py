@@ -90,6 +90,16 @@ def test_from_brackets_rejects_out_of_range_pair_with_zero_vector(dim, table):
             build(dim, table)
 
 
+@pytest.mark.parametrize("name", ["dim", "constants", "labels"])
+def test_algebra_refuses_attribute_assignment(heis3, sl2, name):
+    """Its cached bracket index and Killing form are built from these fields once,
+    so a reassigned field would leave them describing the old table."""
+    with pytest.raises(AttributeError):
+        setattr(heis3, name, getattr(sl2, name))
+    assert heis3.constants != sl2.constants
+    assert heis3.bracket_spaces(heis3.full_space(), heis3.full_space()).dim == 1
+
+
 def test_labels_must_be_unique():
     with pytest.raises(ValueError):
         LieAlgebra.from_brackets(2, {}, labels=("a", "a"))

@@ -37,7 +37,10 @@ basis and on random raw tables.  A monkeypatched `insert_row` shows that the
 stabilizing steps insert no row once their table has the bound's rank, and
 that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which tests the
 containment such a bound assumes, still rejects non-ideals whose product has
-their dimension.
+their dimension.  `bracket_spaces`, which takes no bound, is compared with
+`reference.unbounded_product` on spans that are neither ideals nor series
+terms: under hypothesis on the same random inputs, and on fixed spans of
+matrix-unit algebras, where a product can outgrow both factors.
 
 The integer paths of `Subspace` and of the algebra built on them are compared
 with the `Fraction` code they replaced: `reduce` and `contains` with
@@ -456,19 +459,25 @@ def test_descending_series_match_unbounded_products_on_the_ladder(name):
     _check_descending_against_unbounded(reference.build(name))
 
 
+def _random_algebra(seed: int, k: int, basis: str) -> LieAlgebra:
+    """Random-corpus algebra k in its own or the rational basis, or a random raw table."""
+    if basis == "raw":
+        return LieAlgebra(StructureConstants(*next(_random_tables(1, seed, RATIONAL_VALUES))))
+    L = random_algebras(k + 1, 4, seed)[k]
+    return reference.rebase(L) if basis == "rational" else L
+
+
+RANDOM_INPUTS = (st.integers(0, 2**32), st.integers(0, 9),
+                 st.sampled_from(("own", "rational", "raw")))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own", "rational", "raw")))
+@given(*RANDOM_INPUTS)
 def test_descending_series_match_unbounded_products_on_random_algebras(seed, k, basis):
     """A random-corpus algebra in its own or the rational basis, or a random raw
     table, one-sided and with [x, x] ≠ 0, where the bound still holds: it rests
     on bilinearity alone."""
-    L = random_algebras(k + 1, 4, seed)[k]
-    if basis == "rational":
-        L = reference.rebase(L)
-    elif basis == "raw":
-        dim, table = next(_random_tables(1, seed, RATIONAL_VALUES))
-        L = LieAlgebra(StructureConstants(dim, table))
-    _check_descending_against_unbounded(L)
+    _check_descending_against_unbounded(_random_algebra(seed, k, basis))
 
 
 @pytest.mark.parametrize("name", ["gl4", "sl3", "rational-gl3"])
@@ -526,6 +535,33 @@ def test_near_perfect_ideal_test_forms_an_unbounded_product(name, col, product):
     assert L.bracket_spaces(L.full_space(), s) == Subspace.span(product, 3)
     with pytest.raises(NotAnIdealError):
         is_near_perfect_ideal(L, s)
+
+
+def _random_spans(draw, L: LieAlgebra) -> tuple[Subspace, Subspace]:
+    """Two spans of 0 to 3 vectors with entries in −2..2; `draw(k)` gives a number
+    in 0..k.  They are in general neither ideals nor terms of a series."""
+    def span():
+        return Subspace.span([[draw(4) - 2 for _ in range(L.dim)] for _ in range(draw(3))],
+                             L.dim)
+    return span(), span()
+
+
+@settings(max_examples=200, deadline=None)
+@given(*RANDOM_INPUTS, st.data())
+def test_bracket_spaces_match_unbounded_product_on_random_spans(seed, k, basis, data):
+    """The same random inputs and arbitrary spans a and b: [a, b] against the
+    span of every pair's bracket, summed apart from the package."""
+    L = _random_algebra(seed, k, basis)
+    a, b = _random_spans(lambda top: data.draw(st.integers(0, top)), L)
+    assert L.bracket_spaces(a, b) == reference.unbounded_product(L, a, b)
+
+
+@pytest.mark.parametrize("name", ["gl3", "b4", "n5", "sl3", "rational-gl3"])
+def test_bracket_spaces_match_unbounded_product_on_fixed_spans(name):
+    L, rng = reference.build(name), random.Random(20261019)
+    for _ in range(20):
+        a, b = _random_spans(lambda top: rng.randint(0, top), L)
+        assert L.bracket_spaces(a, b) == reference.unbounded_product(L, a, b)
 
 
 @pytest.mark.parametrize("name,L", INPUTS, ids=IDS)

@@ -26,6 +26,8 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_VIOLATED = 3
 
+_encode = json.encoder.encode_basestring_ascii  # C: one JSON string, ASCII only
+
 
 # -- rendering helpers ---------------------------------------------------------
 
@@ -48,17 +50,23 @@ def _format_subspace(s: Subspace, labels: Sequence[str]) -> str:
 
 
 def _subspace_json(s: Subspace) -> dict:
-    return {
-        "dim": s.dim,
-        "basis": [[str(x) for x in row] for row in s.rows()],
-    }
+    basis = [["0"] * s.ambient_dim for _ in s.pivots]
+    for row, r, p in zip(basis, s.int_rows, s.pivots):  # RREF row = r / r[p]: only r's entries
+        for k, x in r.items():
+            row[k] = str(x) if r[p] == 1 else str(Fraction(x, r[p]))
+    return {"dim": s.dim, "basis": basis}
 
 
 def profile_json(L: LieAlgebra, prof: ProfileReport) -> dict:
+    done: dict[int, dict] = {}  # by id: a subspace reported twice is built once
+
+    def sub(s: Subspace) -> dict:
+        return done.get(id(s)) or done.setdefault(id(s), _subspace_json(s))
+
     return {
         "dim": L.dim,
-        "series": {k: [_subspace_json(t) for t in rep.chain] for k, rep in prof.series().items()},
-        **{k: _subspace_json(s) for k, s in prof.subspaces().items()},
+        "series": {k: [sub(t) for t in rep.chain] for k, rep in prof.series().items()},
+        **{k: sub(s) for k, s in prof.subspaces().items()},
         "flags": prof.flags(),
     }
 
@@ -83,7 +91,33 @@ def report_json(report: TheoremReport) -> dict:
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps` with a two-space indent, and a newline, without its Python
+    encoder: each container is rendered once, unindented, and its parent puts two
+    spaces after each newline (encoded strings hold none).  Keys must be `str`."""
+    done: dict[int, str] = {}  # by id: obj outlives the call, so ids stay unique
+
+    def render(x) -> str:
+        if isinstance(x, str):
+            return _encode(x)
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        if not isinstance(x, (list, tuple, dict)):
+            return json.dumps(x)
+        if id(x) not in done:
+            if not x:
+                text = "{}" if isinstance(x, dict) else "[]"
+            elif isinstance(x, dict):
+                body = ",\n".join(f"{_encode(k)}: {render(v)}" for k, v in x.items())
+                text = "{\n  " + body.replace("\n", "\n  ") + "\n}"
+            else:
+                try:  # strings only, all in C: _encode refuses anything else
+                    text = "[\n  " + ",\n  ".join(map(_encode, x)) + "\n]"
+                except TypeError:
+                    text = "[\n  " + ",\n".join(map(render, x)).replace("\n", "\n  ") + "\n]"
+            done[id(x)] = text
+        return done[id(x)]
+
+    return render(obj) + "\n"
 
 
 def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:

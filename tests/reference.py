@@ -13,8 +13,9 @@ subspace intersection, the ideal closure and ideal test, reduction modulo a
 subspace, the quotient algebra, the construction of constants from one
 orientation per pair and by restriction through `Fraction` tables, and the
 descending series from the unbounded product, which brackets every pair of
-basis rows and forms [L, L] afresh in each series, kept as slow paths that the
-faster code is compared against entry by entry.  The
+basis rows and forms [L, L] afresh in each series, and the `analyze --json`
+dict with its basis strings taken from the dense `Fraction` RREF rows, kept as
+slow paths that the faster code is compared against entry by entry.  The
 dense `Fraction` matrix and vector arithmetic that only these slow paths and
 the tests use (`apply`, `trace`, `rank`, `zeros`, `vdot`, ...) are plain
 functions here, apart from `Matrix`.
@@ -603,3 +604,20 @@ def unbounded_profile(L: LieAlgebra) -> ProfileReport:
         solvable=der.stable_term.is_zero(), nilpotent=low.stable_term.is_zero(),
         perfect=d1.is_full(), abelian=d1.is_zero(), semisimple=L.dim > 0 and rad.is_zero(),
     )
+
+
+def fraction_subspace_json(s: Subspace) -> dict:
+    """`{dim, basis}` with every entry of the dense `Fraction` RREF rows as a string."""
+    return {"dim": s.dim, "basis": [[str(x) for x in row] for row in s.rows()]}
+
+
+def fraction_profile_json(L: LieAlgebra, prof: ProfileReport) -> dict:
+    """The `analyze --json` dict, each reported subspace built afresh by
+    `fraction_subspace_json`, however often it is reported."""
+    return {
+        "dim": L.dim,
+        "series": {k: [fraction_subspace_json(t) for t in rep.chain]
+                   for k, rep in prof.series().items()},
+        **{k: fraction_subspace_json(s) for k, s in prof.subspaces().items()},
+        "flags": prof.flags(),
+    }

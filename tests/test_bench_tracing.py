@@ -7,14 +7,17 @@ way `Tracer.install` does: a method must be defined on the class itself, and
 a module function must be an attribute of its module.  A traced run of
 `profile` also shows that the upper central series reaches the traced
 `series.upper_extension`, a traced `verify` that its factor algebras go
-through the traced `LieAlgebra.quotient`, and a traced descending series
-that each of its products, bounded or not, is one traced `Subspace.span`.
+through the traced `LieAlgebra.quotient`, a traced descending series
+that each of its products, bounded or not, is one traced `Subspace.span`,
+and a traced `--json` command that it renders through exactly one call of
+its dict builder and one of `_dump_json`.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -86,3 +89,26 @@ def test_series_steps_reach_the_traced_span(kind, name):
     layers = _traced_layers(
         lambda: reports.append(getattr(series, kind)(catalog.get(name).algebra)))
     assert layers["subspace.span"]["calls"] == len(reports[0].terms) - 1
+
+
+@pytest.mark.parametrize("command,builder", [("analyze", "profile_json"),
+                                             ("verify", "report_json")])
+def test_json_commands_render_through_the_traced_functions(command, builder, tmp_path,
+                                                           monkeypatch, capsys):
+    """`cli.render` counts the dict builder and `_dump_json`, once each: a
+    renderer inlined into the command, or recursing through the module name,
+    would read 0 or count every container."""
+    from lieradicals import catalog, cli
+    from lieradicals.algfile import render_algebra
+
+    path = tmp_path / "heis3.alg"
+    path.write_text(render_algebra(catalog.get("heis3").algebra))
+    argv = [command, str(path), "--json", *(["--samples", "3"] if command == "verify" else [])]
+    assert _traced_layers(lambda: cli.main(argv))["cli.render"]["calls"] == 2
+    # The same run with every layer traced under its own name.
+    monkeypatch.setattr(tracing, "LAYERS", tuple((f"{m}.{p}", m, p) for _, m, p in LAYERS))
+    layers = _traced_layers(lambda: cli.main(argv))
+    assert {k: v["calls"] for k, v in layers.items() if k.startswith("cli.")} == {
+        "cli.profile_json": 0, "cli.report_json": 0, "cli._dump_json": 1, f"cli.{builder}": 1}
+    out = capsys.readouterr().out  # both runs printed the same JSON
+    assert out == 2 * out[:len(out) // 2] and json.loads(out[:len(out) // 2])["dim"] == 3

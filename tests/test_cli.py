@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lieradicals
 import lieradicals.cli as cli
@@ -107,6 +109,67 @@ def test_json_output_is_byte_stable(good_file, capsys):
     main(["verify", good_file, "--samples", "10", "--seed", "4", "--json"])
     v2 = capsys.readouterr().out
     assert v1 == v2
+
+
+# -- `_dump_json` against `json.dumps(obj, indent=2)`, its reference ------------
+
+#: Text with quotes, backslashes, newlines, other control characters, a lone
+#: surrogate and non-ASCII characters, beside any other character.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028\ud800é€😀'),
+                          st.characters()), max_size=8)
+_SCALARS = st.one_of(_TEXT, st.none(), st.booleans(), st.integers(),
+                     st.integers(-2**200, 2**200), st.sampled_from([True, False, 1, 0]),
+                     st.floats())
+#: JSON trees with `str` keys; lists, tuples and dicts of any size, empty ones included.
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+def _stdlib_dump(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(_TREES)
+def test_dump_json_is_the_indented_stdlib_dump(obj):
+    assert cli._dump_json(obj) == _stdlib_dump(obj)
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0, None]), min_size=1), _TREES)
+def test_dump_json_tells_bools_from_ints_in_one_list(flags, tree):
+    obj = {"flags": flags, "tree": [tree, flags]}
+    assert cli._dump_json(obj) == _stdlib_dump(obj)
+
+
+@settings(deadline=None)
+@given(st.lists(_TREES, max_size=4), _TREES)
+def test_dump_json_renders_one_list_object_at_two_depths(items, tree):
+    """The same list object at depths 1, 3 and 4: it is rendered once, and
+    indented where each place puts it."""
+    shared = list(items)
+    obj = {"a": shared, "b": [tree, {"c": shared, "d": [[shared], ()]}], "e": {}}
+    assert cli._dump_json(obj) == _stdlib_dump(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"": []}, {"a": {}, "b": (), "c": [[]]},
+    {"k": ["x\ny", '"q"', "\\", "\x00\x1f", "é€😀", ""]},
+    {"n": [10**100, -(10**100), -1, 0.5, float("inf"), float("nan"), -0.0]},
+    {"f": {"solvable": True, "nilpotent": False}, "w": None, "v": [1, True, 0, False]},
+])
+def test_dump_json_fixed_trees(obj):
+    assert cli._dump_json(obj) == _stdlib_dump(obj)
+
+
+def test_dump_json_refuses_a_key_that_is_not_a_string():
+    """json.dumps would write the key 1 as "1"; the renderer takes `str` keys only."""
+    with pytest.raises(TypeError):
+        cli._dump_json({"a": [{1: "x"}]})
 
 
 @pytest.mark.parametrize("brackets,center,derived", [

@@ -55,6 +55,14 @@ with `reference.fraction_from_brackets` on random tables under hypothesis, and
 rows given as `{k: value}` dicts must build the table of the dense rows they
 spell.
 
+`cli.profile_json`, which writes each basis entry from the integer rows and
+builds a subspace reported twice once, is compared with
+`reference.fraction_profile_json`, which stringifies the dense `Fraction`
+RREF rows of every report, on the inputs above (gl4's radical and center are
+equal, distinct objects) and, under hypothesis, on random-corpus algebras in
+their own and a rational basis and on random raw tables; its rendering is
+compared with `json.dumps(..., indent=2)` of the reference dict.
+
 `validate` and `reference.dense_validate` read the same integer table, so the
 table itself is checked against the raw input it was built from: every
 bracket it gives back, raw and antisymmetrized, its denominator, the order of
@@ -63,6 +71,7 @@ bracket it gives back, raw and antisymmetrized, its denominator, the order of
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -71,7 +80,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals import catalog, core, linalg, subspace
+from lieradicals import catalog, cli, core, linalg, subspace
 from lieradicals.subspace import Subspace
 from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
 from lieradicals.linalg import Matrix
@@ -777,3 +786,32 @@ def test_dict_row_key_out_of_range_is_a_value_error(key, value):
     for build in (StructureConstants, StructureConstants.from_brackets):
         with pytest.raises(ValueError):
             build(2, {(0, 1): {0: 1, key: value}})
+
+
+def _check_profile_json(L):
+    prof = _outcome(profile, L)
+    if isinstance(prof, type):  # a raw table that profile refuses
+        return
+    got, expected = cli.profile_json(L, prof), reference.fraction_profile_json(L, prof)
+    assert got == expected
+    assert cli._dump_json(got) == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_profile_json_matches_fraction_rows(name, L):
+    _check_profile_json(L)
+
+
+def test_profile_json_of_equal_distinct_subspaces():
+    """gl4's radical and center are the same subspace held by two objects."""
+    L = reference.build("gl4")
+    prof = profile(L)
+    assert prof.radical == prof.center and prof.radical is not prof.center
+    assert cli.profile_json(L, prof)["radical"] == reference.fraction_subspace_json(prof.center)
+    _check_profile_json(L)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*RANDOM_INPUTS)
+def test_profile_json_matches_fraction_rows_on_random_algebras(seed, k, basis):
+    _check_profile_json(_random_algebra(seed, k, basis))

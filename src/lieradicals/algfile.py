@@ -70,7 +70,7 @@ def parse_algebra(text: str) -> LieAlgebra:
     """
     dim: int | None = None
     labels: tuple[str, ...] | None = None
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}  # (i, j) -> {k: c^k_ij}, 0-based
+    brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}  # (i, j) -> {k: c^k_ij}
     seen_pairs: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,14 +126,14 @@ def parse_algebra(text: str) -> LieAlgebra:
                 )
             seen_pairs.add(key)
             rhs = m.group(3).strip()
-            terms: dict[int, Fraction] = {}  # repeated e_k add up; a zero sum is dropped later
+            terms: dict[int, int | Fraction] = {}  # repeated e_k add up; a zero sum is dropped
             if rhs != "0":
                 for part in rhs.split("+"):
                     t = _TERM_RE.fullmatch(part.strip())
                     if t is None:
                         raise ParseError(f"malformed term {part.strip()!r} in {rhs!r}", lineno)
-                    try:
-                        coeff = _numeral(t.group(1), lineno, Fraction)
+                    try:  # an integer skips Fraction's string parser
+                        coeff = _numeral(t.group(1), lineno, Fraction if "/" in part else int)
                     except ZeroDivisionError:
                         raise ParseError(
                             f"zero denominator in {part.strip()!r}", lineno

@@ -367,14 +367,19 @@ class LieAlgebra:
     def _killing(self) -> tuple[dict[int, int], ...]:
         """_killing[i] = {j: D²·K_ij}, the nonzero entries of the scaled Gram
         matrix, K_ij = sum_{k,l} c^l_ik c^k_jl summed over the nonzero products:
-        a reverse index (l, k) -> {j: a^k_jl} pairs each c^l_ik with them."""
+        a reverse index (l, k) -> {j: a^k_jl} pairs each c^l_ik with them.  K is symmetric
+        (tr(AB) = tr(BA)), so row i is formed while the index holds j >= i only."""
         adj, rev = self.constants.adjoint, {}
-        for j, row in enumerate(adj):
-            for l, col in row.items():
+        gram: list[dict[int, int]] = [{} for _ in adj]
+        for i in reversed(range(len(adj))):
+            for l, col in adj[i].items():
                 for k, a in col.items():
-                    rev.setdefault((l, k), {})[j] = a
-        return tuple(combination((c, rev[l, k]) for k, col in row.items()
-                                 for l, c in col.items() if (l, k) in rev) for row in adj)
+                    rev.setdefault((l, k), {})[i] = a
+            gram[i] = combination((c, rev[l, k]) for k, col in adj[i].items()
+                                  for l, c in col.items() if (l, k) in rev)
+            for j in gram[i].keys() - {i}:
+                gram[j][i] = gram[i][j]
+        return tuple(gram)
 
     def killing_matrix(self) -> Matrix:
         """Gram matrix of the Killing form: K_ij = tr(ad(e_i) ad(e_j))."""

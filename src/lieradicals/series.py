@@ -11,7 +11,8 @@ Each chain is monotone in dimension, so it stabilizes after at most n steps.
 The descending ones share L(1) = L^1 = D(L) = [L, L], which `profile` forms once.
 By bilinearity each of their terms holds the next, so a later step reads its
 brackets (`LieAlgebra._brackets`) only until they span the term's dimension; this
-module is the one place a product stops early (`notes/decisions.md`, "Bounded products").
+module is the one place a product or an upper extension stops early (`notes/decisions.md`,
+"Bounded products" and "The upper central series stops too").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -34,6 +35,7 @@ from enum import Enum
 from typing import Callable
 
 from .core import LieAlgebra, NotAnIdealError
+from .linalg import combination
 from .subspace import Subspace
 
 
@@ -96,28 +98,50 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     return _descending(SeriesKind.LOWER_CENTRAL, L, derived_subalgebra(L))
 
 
+def _extension_rows(ideal: Subspace, images):
+    """The rows of x -> [x, e_j] mod I, one e_j at a time: `images` gives each j's
+    {a: D·[v_a, e_j]} over the unknowns v_a, and the row of coordinate c holds c's
+    entry of `ideal._reduce` of each, δ·D·([v_a, e_j] mod I), zero at I's pivots;
+    the common scalar δ·D leaves the kernel unchanged.  Rows that vanish are not built."""
+    for cols in images:
+        rows: dict[int, dict[int, int]] = {}
+        for a, col in cols.items():
+            for c, x in ideal._reduce(col).items():
+                rows.setdefault(c, {})[a] = x
+        yield from rows.values()
+
+
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """U(I) = {x : [x, e_j] lies in I for every basis vector e_j}.
-
-    Computed as the kernel of the stacked maps x -> [x, e_j] mod I: column i
-    of row (j, c) holds the integer `ideal._reduce` of the adjoint entry
-    D·[e_i, e_j], which is δ·D·([e_i, e_j] mod I) and vanishes at I's pivots;
-    the common scalar δ·D leaves the kernel unchanged.  Only the stored nonzero
-    brackets are visited, and rows that vanish are never built.
-
-    I <= U(I) exactly when [I, L] <= I, which on an antisymmetric table is the
-    ideal test; otherwise this raises NotAnIdealError.  U(I) is again an ideal.
-    """
+    """U(I) = {x : [x, e_j] lies in I for every basis vector e_j}: the kernel of
+    `_extension_rows` over the standard basis, whose images are `L._by_right`.
+    I <= U(I) exactly when [I, L] <= I, the ideal test on an antisymmetric table;
+    otherwise this raises NotAnIdealError.  U(I) is again an ideal.  The rows of an
+    ideal have rank n − dim U(I) <= n − dim I, so the elimination stops there; then
+    I <= U(I) iff I is the kernel so far and the rows left vanish on I's basis
+    (`notes/decisions.md`, "The upper central series stops too")."""
     L._check_ambient(ideal)
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, row in enumerate(L.constants.adjoint):
-        for j, col in row.items():
-            for c, a in ideal._reduce(col).items():
-                rows.setdefault((j, c), {})[i] = a
-    u = Subspace.span(rows.values(), L.dim).annihilator()
-    if not ideal.leq(u):
+    if ideal.is_full():
+        return ideal
+    rows = _extension_rows(ideal, L._by_right)
+    u = Subspace.span(rows, L.dim, L.dim - ideal.dim).annihilator()
+    if not ideal.leq(u) or any(sum(x * b[i] for i, x in r.items() if i in b)
+                               for r in rows for b in ideal.int_rows):
         raise NotAnIdealError("upper extension requires an ideal")
     return u
+
+
+def _center_in(L: LieAlgebra, rad: Subspace) -> Subspace:
+    """Z(L), solved over the rows R_a of rad = R(L) as unknowns.  A central x has
+    ad x = 0, so K(x, ·) = 0 and x lies in L^⊥ <= D(L)^⊥ = R on any table."""
+    zero, n = L.zero_space(), L.dim
+    if rad.is_full():  # the unknowns are the standard basis, whose images L._by_right holds
+        return Subspace.span(_extension_rows(zero, L._by_right), n, n).annihilator()
+    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[R_a, e_j], summed over R_a's i
+               if (w := combination((x, right[i]) for i, x in r.items() if i in right))}
+              for right in L._by_right)
+    coeffs = Subspace.span(_extension_rows(zero, images), rad.dim, rad.dim).annihilator()
+    return Subspace.span([combination((y, rad.int_rows[a]) for a, y in c.items())
+                          for c in coeffs.int_rows], n)
 
 
 def upper_central_series(L: LieAlgebra) -> SeriesReport:
@@ -258,8 +282,9 @@ def profile(L: LieAlgebra) -> ProfileReport:
     """Compute the three series, the radicals and all flags in one pass."""
     d1 = derived_subalgebra(L)  # D(L) = [L, L], formed once for both series
     der, low = (_descending(k, L, d1) for k in (SeriesKind.DERIVED, SeriesKind.LOWER_CENTRAL))
-    upp = upper_central_series(L)
-    rad = L.killing_orthogonal(d1)  # radical(L)
+    rad = L.killing_orthogonal(d1)  # radical(L), which holds the center
+    upp = iterate_series(SeriesKind.UPPER_CENTRAL, L.zero_space(),
+                         lambda t: upper_extension(L, t) if t.dim else _center_in(L, rad))
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple
     # also cross-checks that against the form's kernel, which tests exercise.
     return ProfileReport(

@@ -323,14 +323,13 @@ def naive_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """Kernel of the stacked maps proj @ -ad(e_j), one block per basis vector."""
-    proj = fraction_projection(ideal)
-    blocks = []
-    for j in range(L.dim):
-        ad_j = L.ad(L.basis_vector(j))
-        neg_ad_j = Matrix(ad_j.rows, ad_j.cols, [-a for a in ad_j.entries])
-        blocks.append(proj @ neg_ad_j)
-    return Subspace.span(stack(blocks, L.dim).kernel().row_list(), L.dim)
+    """Kernel of the stacked maps proj @ R_j, one block per basis vector, for R_j the
+    dense matrix of x -> [x, e_j]: its column i is [e_i, e_j], read from the table as
+    stored, so on an antisymmetric table R_j = −ad(e_j)."""
+    n, proj = L.dim, fraction_projection(ideal)
+    blocks = [proj @ Matrix.from_rows(zip(*(L.constants.bracket_basis(i, j) for i in range(n))), n)
+              for j in range(n)]
+    return Subspace.span(stack(blocks, n).kernel().row_list(), n)
 
 
 def _require_ideal(L: LieAlgebra, s: Subspace) -> None:

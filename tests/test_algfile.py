@@ -63,6 +63,38 @@ def test_parse_repeated_terms_store_their_sum():
     assert L.constants.adjoint == ({1: {0: 2}}, {0: {0: -2}})
 
 
+@pytest.mark.parametrize("rhs,want", [
+    ("-0*e1", ()),
+    ("-0*e1 + 1*e2", ((1, 1),)),
+    ("007*e1", ((0, 7),)),
+    ("-007*e2 + 0*e1", ((1, -7),)),
+    ("1*e1 + 1/2*e1", ((0, Fraction(3, 2)),)),
+    ("0/5*e1 + 2/2*e2", ((1, 1),)),
+])
+def test_integer_coefficients_parse_as_fractions_do(rhs, want):
+    """An integer coefficient is read with int(), a p/q one with Fraction();
+    both give the table the Fraction spelling of the same numbers gives."""
+    L = parse_algebra(f"dim 2\n[1,2] = {rhs}\n")
+    expected = StructureConstants.from_brackets(2, {(0, 1): dict(want)} if want else {})
+    assert L.constants == expected
+    spelled = " + ".join(f"{Fraction(c)}*e{k + 1}" for k, c in want) or "0"
+    assert L.constants == parse_algebra(f"dim 2\n[1,2] = {spelled}\n").constants
+
+
+@pytest.mark.parametrize("coefficient", ["-" + "9" * 5000, "0" + "1" * 5000])
+def test_over_long_integer_coefficient_is_a_parse_error(coefficient):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"dim 2\n[1,2] = 1*e2 + {coefficient}*e1\n")
+    assert str(err.value) == (
+        f"line 2: number exceeds the limit of {sys.get_int_max_str_digits()} digits")
+
+
+def test_zero_denominator_text_is_unchanged():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("dim 2\n[1,2] = -3/0*e1\n")
+    assert str(err.value) == "line 2: zero denominator in '-3/0*e1'"
+
+
 def test_duplicate_bracket_either_orientation():
     with pytest.raises(ParseError) as err:
         parse_algebra("dim 3\n[1,2] = 1*e1\n[2,1] = 1*e1\n")

@@ -26,6 +26,18 @@ their own and a rational basis: equal results, or `NotAnIdealError` from
 both, and `upper_extension` raises exactly when `is_ideal` is False.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
+It forms its rows one e_j at a time and stops eliminating at rank n − dim s,
+then tests the rows left on s's basis; it is compared with
+`reference.dense_upper_extension`, the dense matrices of x -> [x, e_j] read
+from the table as stored, and on antisymmetric tables with
+`reference.checked_upper_extension`, on seeded raw one-sided tables, among
+them non-ideals that only the test after the stop rejects, and under
+hypothesis on random ones.  `profile`, which solves the center inside R(L),
+is compared with `upper_central_series` and with the series of a reference
+extension on the inputs above, on gl8, n14, b12 and sl6, and under hypothesis
+on random-corpus algebras and raw tables; a monkeypatched `insert_row` shows
+that sl3's center stores no row and that gl4's stabilizing step stops at
+rank 15.
 
 The derived and lower central series, whose products stop at the rank of
 the term that bounds them, are compared term by term with
@@ -80,7 +92,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieradicals import catalog, cli, core, linalg, subspace
+from lieradicals import catalog, cli, core, linalg, series, subspace
 from lieradicals.subspace import Subspace
 from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
 from lieradicals.linalg import Matrix
@@ -815,3 +827,178 @@ def test_profile_json_of_equal_distinct_subspaces():
 @given(*RANDOM_INPUTS)
 def test_profile_json_matches_fraction_rows_on_random_algebras(seed, k, basis):
     _check_profile_json(_random_algebra(seed, k, basis))
+
+
+# -- the upper central series: the center inside R(L), and stopped extensions ------
+
+
+def _stacked_upper_extension(L: LieAlgebra, s: Subspace):
+    """The dense kernel U(s) of x -> [x, e_j] mod s, or NotAnIdealError unless
+    s <= U(s): the contract of `upper_extension` on any table, one-sided or not."""
+    u = reference.dense_upper_extension(L, s)
+    return u if s.leq(u) else NotAnIdealError
+
+
+def _traced_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
+    """(outcome, stopped, by the rest alone) of `upper_extension(L, s)`: whether its
+    elimination stopped with rows left for the test after the stop, and whether
+    only that test raised, the stopped table's kernel being s itself."""
+    seen = {"rows": 0}
+    rows, echelon_rows = series._extension_rows, subspace.echelon_rows
+
+    def count_rows(*args):
+        for r in rows(*args):
+            seen["rows"] += 1
+            yield r
+
+    def record_stop(vectors, cols, rank=None):
+        table = echelon_rows(vectors, cols, rank)
+        seen.setdefault("stop", (seen["rows"], Subspace(cols, *table)))
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_extension_rows", count_rows)
+        mp.setattr(subspace, "echelon_rows", record_stop)
+        got = _outcome(upper_extension, L, s)
+    eliminated, table = seen.get("stop", (0, None))
+    stopped = eliminated < seen["rows"]
+    return got, stopped, stopped and got is NotAnIdealError and table.annihilator() == s
+
+
+def _check_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
+    """`upper_extension` against the dense kernel and, on an antisymmetric table,
+    where [s, L] <= s is the ideal test, against `checked_upper_extension`."""
+    got, stopped, alone = _traced_upper_extension(L, s)
+    assert got == _stacked_upper_extension(L, s)
+    if L.validate().kind != "antisymmetry":
+        assert got == _outcome(reference.checked_upper_extension, L, s)
+    return stopped, alone
+
+
+def _wide_spans(rng: random.Random, n: int) -> list:
+    """Spans of n − 1 or n − 2 sparse vectors, whose extension may stop at rank 1
+    or 2, and of one to three vectors; most are no ideal."""
+    def span(count):
+        return Subspace.span([[rng.choice((0, 0, 1, -1)) for _ in range(n)]
+                              for _ in range(count)], n)
+    return [span(max(1, n - rng.randint(1, 2))) for _ in range(3)] + [span(rng.randint(1, 3))]
+
+
+def test_upper_extension_stops_exactly_on_seeded_raw_tables():
+    """Raw one-sided tables and their antisymmetrized forms, most failing an axiom:
+    equal results or NotAnIdealError from both, and among the cases, non-ideals
+    whose elimination stopped at rank n − dim s and that only the test of the rows
+    left after the stop rejects."""
+    rng, counts = random.Random(2026), {"stopped": 0, "alone": 0}
+    for constants in _raw_tables(150, 21):
+        L = LieAlgebra(constants)
+        for s in _wide_spans(rng, L.dim):
+            stopped, alone = _check_upper_extension(L, s)
+            counts["stopped"] += stopped
+            counts["alone"] += alone
+    assert counts["stopped"] >= 20 and counts["alone"] >= 10, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((INTEGER_VALUES, RATIONAL_VALUES)),
+       st.booleans(), st.data())
+def test_upper_extension_matches_references_on_random_raw_tables(seed, values, antisym, data):
+    """A random raw table, or the table with its reverse orientations added, and
+    spans of 1 to n vectors, the stopped extensions among them."""
+    dim, table = next(_random_tables(1, seed, values))
+    try:
+        constants = (StructureConstants.from_brackets if antisym else StructureConstants)(
+            dim, table)
+    except ValueError:  # both orientations given, inconsistently
+        constants = StructureConstants(dim, table)
+    entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2)))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                              min_size=1, max_size=dim))
+    _check_upper_extension(LieAlgebra(constants), Subspace.span(vecs, dim))
+
+
+def _reference_upper_central(L: LieAlgebra, extension) -> tuple:
+    """The upper central terms by iterating `extension` from 0, apart from `series`."""
+    terms = [L.zero_space(), extension(L, L.zero_space())]
+    while terms[-1] != terms[-2]:
+        terms.append(extension(L, terms[-1]))
+    return tuple(terms)
+
+
+def _check_upper_central(L: LieAlgebra, extension=reference.dense_upper_extension) -> None:
+    """`profile`'s center, found inside R(L), and its upper central series against
+    the public series and against the series of a reference extension."""
+    prof, public = profile(L), upper_central_series(L)
+    assert prof.upper_central == public
+    assert prof.upper_central.terms == _reference_upper_central(L, extension)
+    assert prof.center == public.terms[1] <= prof.radical
+
+
+@pytest.mark.parametrize("name,L", INPUTS, ids=IDS)
+def test_profile_upper_central_matches_reference(name, L):
+    """The catalog, the corpus, the matrix-unit ladder, rational bases and
+    abelian algebras."""
+    _check_upper_central(L)
+
+
+@pytest.mark.parametrize("name", ["gl8", "n14", "b12", "sl6"])
+def test_profile_upper_central_matches_reference_past_the_ladder(name):
+    _check_upper_central(reference.build(name), reference.checked_upper_extension)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*RANDOM_INPUTS)
+def test_profile_upper_central_matches_reference_on_random_algebras(seed, k, basis):
+    """Random-corpus algebras in their own and the rational basis, and random raw
+    tables, on which Z(L) <= L^⊥ <= R(L) holds as well."""
+    _check_upper_central(_random_algebra(seed, k, basis))
+
+
+@pytest.mark.parametrize("name,unknowns,center_rows,steps", [
+    ("sl3", 0, 0, []),  # R = 0: no unknown, and 0 < Z(L) never starts
+    ("gl4", 1, 0, [(15, 1)]),  # R = Z(L), dim 1; U(Z) = Z stops at rank 16 − 1
+    ("rational-gl3", 1, 0, [(8, 1)]),
+    ("b4", 10, 9, [(9, 1)]),  # R = L: the unknowns are the standard basis
+    ("n5", 10, 9, [(9, 0), (7, 0), (4, 0)]),  # no step stabilizes until U(L) = L
+])
+def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_rows, steps,
+                                                         monkeypatch):
+    """A monkeypatched `insert_row` counts the rows that the center's system over
+    R(L) stores, and for each `upper_extension` the rank it may stop at and
+    whether rows were left for the test after the stop; U(L) = L returns before
+    any elimination."""
+    L = reference.build(name)
+    spans, calls = [], []
+    insert_row, echelon_rows = linalg.insert_row, linalg.echelon_rows
+    center_in, extension = series._center_in, upper_extension
+
+    def record_span(rows, cols, rank=None):
+        spans.append([cols, 0])
+        return echelon_rows(rows, cols, rank)
+
+    def record_insert(rows, w):
+        added = insert_row(rows, w)
+        spans[-1][1] += added is not None
+        return added
+
+    def record_center(*args):
+        spans.clear()
+        z = center_in(*args)
+        calls.append(("center", *spans[0], sum(k for _, k in spans)))
+        return z
+
+    def record_extension(L, ideal):
+        _, stopped, _ = _traced_upper_extension(L, ideal)
+        calls.append((L.dim - ideal.dim, int(stopped)))
+        return extension(L, ideal)
+
+    monkeypatch.setattr(subspace, "echelon_rows", record_span)
+    monkeypatch.setattr(linalg, "insert_row", record_insert)
+    monkeypatch.setattr(series, "_center_in", record_center)
+    monkeypatch.setattr(series, "upper_extension", record_extension)
+    prof = profile(L)
+    monkeypatch.undo()
+    assert calls[0][:3] == ("center", unknowns, center_rows)
+    assert name != "sl3" or calls[0][3] == 0
+    assert calls[1:] == steps + ([(0, 0)] if prof.upper_central.stable_term.is_full() else [])
+    assert prof == reference.unbounded_profile(L)

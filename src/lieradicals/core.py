@@ -432,7 +432,8 @@ class LieAlgebra:
         coords = vector(coords)
         if len(coords) != s.dim:
             raise ValueError("coordinate length disagrees with the subspace dimension")
-        return tuple(sum((c * row[k] for c, row in zip(coords, s.rows())), Fraction(0))
+        rows = s.rows()
+        return tuple(sum((c * row[k] for c, row in zip(coords, rows)), Fraction(0))
                      for k in range(self.dim))
 
     def quotient(self, ideal: Subspace) -> "LieAlgebra":

@@ -9,10 +9,10 @@ Three ideal chains organize a finite-dimensional Lie algebra:
 
 Each chain is monotone in dimension, so it stabilizes after at most n steps.
 The descending ones share L(1) = L^1 = D(L) = [L, L], which `profile` forms once.
-By bilinearity each of their terms holds the next, so a later step reads its
-brackets (`LieAlgebra._brackets`) only until they span the term's dimension; this
-module is the one place a product or an upper extension stops early (`notes/decisions.md`,
-"Bounded products" and "The upper central series stops too").
+By bilinearity each term holds the next, and an ideal s holds [L, s], so a step, or a
+product of s after `is_ideal`, reads brackets (`LieAlgebra._brackets`) only up to that
+dimension; only this module stops a product or an upper extension early
+(`notes/decisions.md`, "Bounded products", "The upper central series stops too").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -117,15 +117,16 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     I <= U(I) exactly when [I, L] <= I, the ideal test on an antisymmetric table;
     otherwise this raises NotAnIdealError.  U(I) is again an ideal.  The rows of an
     ideal have rank n − dim U(I) <= n − dim I, so the elimination stops there; then
-    I <= U(I) iff I is the kernel so far and the rows left vanish on I's basis
-    (`notes/decisions.md`, "The upper central series stops too")."""
+    I <= U(I) iff I is the kernel so far and the rows left vanish on I's basis, and
+    for I = 0, with no basis row, none is formed (`notes/decisions.md`, "The upper
+    central series stops too")."""
     L._check_ambient(ideal)
     if ideal.is_full():
         return ideal
     rows = _extension_rows(ideal, L._by_right)
     u = Subspace.span(rows, L.dim, L.dim - ideal.dim).annihilator()
-    if not ideal.leq(u) or any(sum(x * b[i] for i, x in r.items() if i in b)
-                               for r in rows for b in ideal.int_rows):
+    if not ideal.leq(u) or not ideal.is_zero() and any(
+            sum(x * b[i] for i, x in r.items() if i in b) for r in rows for b in ideal.int_rows):
         raise NotAnIdealError("upper extension requires an ideal")
     return u
 
@@ -133,15 +134,14 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
 def _center_in(L: LieAlgebra, rad: Subspace) -> Subspace:
     """Z(L), solved over the rows R_a of rad = R(L) as unknowns.  A central x has
     ad x = 0, so K(x, ·) = 0 and x lies in L^⊥ <= D(L)^⊥ = R on any table."""
-    zero, n = L.zero_space(), L.dim
-    if rad.is_full():  # the unknowns are the standard basis, whose images L._by_right holds
-        return Subspace.span(_extension_rows(zero, L._by_right), n, n).annihilator()
+    if rad.is_full():  # the unknowns are the standard basis: U(0) itself
+        return upper_extension(L, L.zero_space())
     images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[R_a, e_j], summed over R_a's i
                if (w := combination((x, right[i]) for i, x in r.items() if i in right))}
               for right in L._by_right)
-    coeffs = Subspace.span(_extension_rows(zero, images), rad.dim, rad.dim).annihilator()
+    coeffs = Subspace.span(_extension_rows(L.zero_space(), images), rad.dim, rad.dim).annihilator()
     return Subspace.span([combination((y, rad.int_rows[a]) for a, y in c.items())
-                          for c in coeffs.int_rows], n)
+                          for c in coeffs.int_rows], L.dim)
 
 
 def upper_central_series(L: LieAlgebra) -> SeriesReport:
@@ -229,12 +229,10 @@ def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s; s is an ideal exactly when [L, s] <= s, which the
-    full product `bracket_spaces` is formed to test."""
-    p = L.bracket_spaces(L.full_space(), s)
-    if not p.leq(s):
+    """Ideal with [L, s] = s."""
+    if not L.is_ideal(s):
         raise NotAnIdealError("subspace is not an ideal")
-    return p == s
+    return Subspace.span(L._brackets(L.full_space(), s), L.dim, s.dim) == s  # s holds [L, s]
 
 
 def is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:

@@ -8,14 +8,15 @@ with no tolerances anywhere.  Reduction stays in integers too: with δ the lcm
 of the pivot entries q_r, the row B_r = (δ/q_r)·row_r is δ times RREF row r,
 and RREF rows vanish at the other pivots, so δ·(v mod the subspace) =
 δ·v − Σ_r v[p_r]·B_r, one update per pivot in v's support.  Dense rows and
-Fractions are made only on request (`basis`, `rows()`, `reduce`).
+Fractions are made only on request (`basis`, `rows()`, `reduce`) and never
+kept; `sort_key` reads the integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import (Matrix, dense, divided, echelon_rows, kernel_rows, numerators, sparse,
@@ -25,7 +26,7 @@ from .linalg import (Matrix, dense, divided, echelon_rows, kernel_rows, numerato
 class Subspace:
     """A subspace of Q^n, canonicalized by its integer echelon rows."""
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "_by_pivot", "_delta", "_basis")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_by_pivot", "_delta")
 
     def __init__(self, ambient_dim: int, rows: Iterable[dict[int, int]], pivots: Iterable[int]):
         # `rows` and `pivots` must already be canonical, as `echelon_rows`
@@ -33,7 +34,7 @@ class Subspace:
         rows, pivots = tuple(rows), tuple(pivots)
         by_pivot = dict(zip(pivots, rows))
         delta = lcm(*(r[p] for p, r in by_pivot.items()))
-        for name, value in zip(self.__slots__, (ambient_dim, rows, pivots, by_pivot, delta, None)):
+        for name, value in zip(self.__slots__, (ambient_dim, rows, pivots, by_pivot, delta)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
@@ -73,15 +74,13 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        """The RREF basis, a matrix of Fractions made on first use."""
-        if self._basis is None:
-            n = self.ambient_dim
-            rows = [divided(dense(r, n), r[p]) for r, p in zip(self.int_rows, self.pivots)]
-            object.__setattr__(self, "_basis", Matrix.from_rows(rows, n))
-        return self._basis
+        """The RREF basis, a matrix of Fractions made from `rows()` on each request."""
+        return Matrix.from_rows(self.rows(), self.ambient_dim)
 
     def rows(self) -> list[tuple[Fraction, ...]]:
-        return self.basis.row_list()
+        """The RREF basis rows: each integer row divided by its pivot entry."""
+        n = self.ambient_dim
+        return [divided(dense(r, n), r[p]) for r, p in zip(self.int_rows, self.pivots)]
 
     def _reduce(self, u: dict[int, int]) -> dict[int, int]:
         """δ·(u mod this subspace) for a {col: int} row u, as such a row:
@@ -178,8 +177,9 @@ class Subspace:
 
 
 def sort_key(s: Subspace) -> tuple:
-    """Deterministic ordering key for subspaces of one ambient space."""
-    return (
-        s.dim,
-        tuple((x.numerator, x.denominator) for x in s.basis.entries),
-    )
+    """Deterministic ordering key for subspaces of one ambient space: the dimension,
+    then each RREF entry x/q, row by row, as its reduced `Fraction`'s terms
+    (x/g, q/g) for g = gcd(x, q), as the pivot entry q is positive."""
+    n = s.ambient_dim
+    return s.dim, tuple((x // (g := gcd(x, r[p])), r[p] // g)
+                        for r, p in zip(s.int_rows, s.pivots) for x in dense(r, n))

@@ -14,7 +14,8 @@ subspace, the quotient algebra, the construction of constants from one
 orientation per pair and by restriction through `Fraction` tables, and the
 descending series from the unbounded product, which brackets every pair of
 basis rows and forms [L, L] afresh in each series, and the `analyze --json`
-dict with its basis strings taken from the dense `Fraction` RREF rows, kept as
+dict with its basis strings taken from the dense `Fraction` RREF rows, and
+the ordering key of subspaces read from the `Fraction` RREF matrix, kept as
 slow paths that the faster code is compared against entry by entry.  The
 dense `Fraction` matrix and vector arithmetic that only these slow paths and
 the tests use (`apply`, `trace`, `rank`, `zeros`, `vdot`, ...) are plain
@@ -603,6 +604,12 @@ def unbounded_profile(L: LieAlgebra) -> ProfileReport:
         solvable=der.stable_term.is_zero(), nilpotent=low.stable_term.is_zero(),
         perfect=d1.is_full(), abelian=d1.is_zero(), semisimple=L.dim > 0 and rad.is_zero(),
     )
+
+
+def fraction_sort_key(s: Subspace) -> tuple:
+    """`subspace.sort_key` as it was: the dimension, then the (numerator,
+    denominator) of every entry of the dense `Fraction` RREF matrix."""
+    return s.dim, tuple((x.numerator, x.denominator) for x in s.basis.entries)
 
 
 def fraction_subspace_json(s: Subspace) -> dict:

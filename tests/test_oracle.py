@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lieradicals.oracle as oracle
 from lieradicals import catalog, series
 from lieradicals.algfile import render_algebra
 from lieradicals.cli import main
-from lieradicals.core import NotAnIdealError
+from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
 from lieradicals.oracle import (
     MAX_SAMPLES,
     PROPOSITION_IDS,
@@ -24,6 +27,8 @@ from lieradicals.series import (
     upper_central_series,
 )
 from lieradicals.subspace import Subspace, sort_key
+
+import reference
 
 OPTIMIZED = {
     SeriesKind.DERIVED: derived_series,
@@ -313,3 +318,30 @@ def test_perfect_filtered_from_near_perfect_equals_perfect_over_the_pool(name, L
     assert ctx.perfect == tuple(i for i in pool if series.is_perfect_ideal(L, i))
     assert ctx.near_perfect == tuple(i for i in pool if series.is_near_perfect_ideal(L, i))
     assert ctx.upper_bounded == tuple(i for i in pool if series.is_upper_bounded_ideal(L, i))
+
+
+#: Catalog and random-corpus algebras, each in its own or the rational basis, and
+#: raw one-sided tables with denominators, whose [e_i, e_i] need not vanish.
+KEY_INPUTS = st.one_of(
+    st.builds(lambda L, rational: reference.rebase(L) if rational else L,
+              st.one_of(st.sampled_from([e.algebra for e in catalog.entries()]),
+                        st.builds(lambda seed, k: random_algebras(k + 1, 4, seed)[k],
+                                  st.integers(0, 2**32), st.integers(0, 9))),
+              st.booleans()),
+    st.integers(1, 5).flatmap(lambda n: st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.lists(st.sampled_from((0, 0, 1, -1, Fraction(-1, 2), Fraction(2, 3))),
+                 min_size=n, max_size=n), max_size=8)
+        .map(lambda table: LieAlgebra(StructureConstants(n, table)))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KEY_INPUTS, st.integers(0, 2**32))
+def test_sort_key_matches_fraction_key_on_verify_pools(L, seed):
+    """`sort_key`, read from the integer rows, against the key of the `Fraction`
+    RREF matrix on every member of the pool `verify_theorems` builds, and the
+    pool's order under each."""
+    pool = _verify_pool(L, 10, seed)
+    assert [sort_key(s) for s in pool] == [reference.fraction_sort_key(s) for s in pool]
+    assert sorted(pool, key=reference.fraction_sort_key) == pool

@@ -18,12 +18,15 @@ and on generators of L that bring its table to rank n early, where it must
 stop.  `LieAlgebra.is_ideal`, which reduces each bracket [e_i, r] modulo the
 subspace, is compared with `reference.naive_is_ideal`, which echelonizes
 [L, s] first, on ideals, lines and random spans of the same inputs.
-`upper_extension` and the ideal predicates, which each find out from their
-own computation whether the subspace is an ideal, are compared with
-`reference`'s versions that run `is_ideal` first, on the same kinds of
-subspace and, under hypothesis, on catalog and random-corpus algebras in
-their own and a rational basis: equal results, or `NotAnIdealError` from
-both, and `upper_extension` raises exactly when `is_ideal` is False.
+`upper_extension`, which finds out from its own computation whether the
+subspace is an ideal, and the ideal predicates are compared with
+`reference`'s versions that run `is_ideal` first and form unbounded
+products, on the same kinds of subspace and, under hypothesis, on catalog
+and random-corpus algebras in their own and a rational basis: equal
+results, or `NotAnIdealError` from both, and `upper_extension` raises
+exactly when `is_ideal` is False.  `is_perfect_ideal` and
+`is_near_perfect_ideal`, whose products stop at s once `is_ideal` passed,
+are compared with theirs on seeded and random raw one-sided tables too.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
 It forms its rows one e_j at a time and stops eliminating at rank n − dim s,
@@ -37,7 +40,8 @@ is compared with `upper_central_series` and with the series of a reference
 extension on the inputs above, on gl8, n14, b12 and sl6, and under hypothesis
 on random-corpus algebras and raw tables; a monkeypatched `insert_row` shows
 that sl3's center stores no row and that gl4's stabilizing step stops at
-rank 15.
+rank 15, and a monkeypatched `_extension_rows` that `upper_extension(L, 0)`,
+the center when R(L) = L, forms no row after its stop.
 
 The derived and lower central series, whose products stop at the rank of
 the term that bounds them, are compared term by term with
@@ -47,9 +51,9 @@ and forms [L, L] afresh, and the whole `profile` with
 and, under hypothesis, on random-corpus algebras in their own and a rational
 basis and on random raw tables.  A monkeypatched `insert_row` shows that the
 stabilizing steps insert no row once their table has the bound's rank, and
-that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which tests the
-containment such a bound assumes, still rejects non-ideals whose product has
-their dimension.  `bracket_spaces`, which takes no bound, is compared with
+that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which asks
+`is_ideal` before it bounds [L, s] by s, still rejects non-ideals whose
+product has their dimension.  `bracket_spaces`, which takes no bound, is compared with
 `reference.unbounded_product` on spans that are neither ideals nor series
 terms: under hypothesis on the same random inputs, and on fixed spans of
 matrix-unit algebras, where a product can outgrow both factors.
@@ -550,7 +554,8 @@ def test_descending_products_stop_at_the_bounding_term(name, monkeypatch):
 def test_near_perfect_ideal_test_forms_an_unbounded_product(name, col, product):
     """s = span(e_col) is no ideal, and [L, s] has at least its dimension: in
     heis3, [L, e1] = span(e3); in sl2, the first bracket [h, e] = 2e lies in s, so
-    a product bounded by s would stop there, equal to s, and pass a non-ideal."""
+    a product bounded by s would stop there, equal to s, and pass a non-ideal.
+    The ideal test is `is_ideal`, which reduces every bracket, before that product."""
     L = catalog.get(name).algebra
     s = Subspace.span([[int(i == col) for i in range(3)]], 3)
     assert L.bracket_spaces(L.full_space(), s) == Subspace.span(product, 3)
@@ -914,7 +919,31 @@ def test_upper_extension_matches_references_on_random_raw_tables(seed, values, a
     entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2)))
     vecs = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
                               min_size=1, max_size=dim))
-    _check_upper_extension(LieAlgebra(constants), Subspace.span(vecs, dim))
+    L, s = LieAlgebra(constants), Subspace.span(vecs, dim)
+    _check_upper_extension(L, s)
+    _check_product_predicates(L, s)
+
+
+def _check_product_predicates(L: LieAlgebra, s: Subspace):
+    """`is_perfect_ideal` and `is_near_perfect_ideal`, whose products are bounded by
+    s once `is_ideal` passed, against `reference`'s unbounded checked forms; the
+    outcomes, NotAnIdealError among them."""
+    outcomes = [_outcome(new, L, s) for new, _ in PREDICATES[1:3]]
+    assert outcomes == [_outcome(old, L, s) for _, old in PREDICATES[1:3]]
+    return outcomes
+
+
+def test_product_predicates_match_checked_reference_on_raw_tables():
+    """Seeded raw one-sided tables and their antisymmetrized forms, on lines and
+    wide spans, most of them no ideal, and on the ideals these generate: every
+    ideal test and product reads the brackets by their right factor."""
+    rng, seen = random.Random(2027), set()
+    for constants in _raw_tables(150, 22, RATIONAL_VALUES):
+        L = LieAlgebra(constants)
+        spans = _lines(L) + _wide_spans(rng, L.dim)
+        for s in spans + [L.ideal_closure(s.int_rows) for s in spans]:
+            seen.update(_check_product_predicates(L, s))
+    assert seen == {True, False, NotAnIdealError}
 
 
 def _reference_upper_central(L: LieAlgebra, extension) -> tuple:
@@ -958,19 +987,20 @@ def test_profile_upper_central_matches_reference_on_random_algebras(seed, k, bas
     ("sl3", 0, 0, []),  # R = 0: no unknown, and 0 < Z(L) never starts
     ("gl4", 1, 0, [(15, 1)]),  # R = Z(L), dim 1; U(Z) = Z stops at rank 16 − 1
     ("rational-gl3", 1, 0, [(8, 1)]),
-    ("b4", 10, 9, [(9, 1)]),  # R = L: the unknowns are the standard basis
-    ("n5", 10, 9, [(9, 0), (7, 0), (4, 0)]),  # no step stabilizes until U(L) = L
+    ("b4", 10, 9, [(10, 0), (9, 1)]),  # R = L: the center is U(0), over the standard basis
+    ("n5", 10, 9, [(10, 0), (9, 0), (7, 0), (4, 0)]),  # no step stabilizes until U(L) = L
 ])
 def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_rows, steps,
                                                          monkeypatch):
     """A monkeypatched `insert_row` counts the rows that the center's system over
     R(L) stores, and for each `upper_extension` the rank it may stop at and
     whether rows were left for the test after the stop; U(L) = L returns before
-    any elimination."""
+    any elimination.  When R = L, the center is one `upper_extension(L, 0)`, the
+    first call listed."""
     L = reference.build(name)
     spans, calls = [], []
     insert_row, echelon_rows = linalg.insert_row, linalg.echelon_rows
-    center_in, extension = series._center_in, upper_extension
+    center_in = series._center_in
 
     def record_span(rows, cols, rank=None):
         spans.append([cols, 0])
@@ -987,10 +1017,10 @@ def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_
         calls.append(("center", *spans[0], sum(k for _, k in spans)))
         return z
 
-    def record_extension(L, ideal):
-        _, stopped, _ = _traced_upper_extension(L, ideal)
+    def record_extension(L, ideal):  # the traced run is the only one, so rows count once
+        got, stopped, _ = _traced_upper_extension(L, ideal)
         calls.append((L.dim - ideal.dim, int(stopped)))
-        return extension(L, ideal)
+        return got
 
     monkeypatch.setattr(subspace, "echelon_rows", record_span)
     monkeypatch.setattr(linalg, "insert_row", record_insert)
@@ -998,7 +1028,21 @@ def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_
     monkeypatch.setattr(series, "upper_extension", record_extension)
     prof = profile(L)
     monkeypatch.undo()
-    assert calls[0][:3] == ("center", unknowns, center_rows)
-    assert name != "sl3" or calls[0][3] == 0
-    assert calls[1:] == steps + ([(0, 0)] if prof.upper_central.stable_term.is_full() else [])
+    (center,) = [c for c in calls if c[0] == "center"]
+    assert center[:3] == ("center", unknowns, center_rows)
+    assert name != "sl3" or center[3] == 0
+    last = [(0, 0)] if prof.upper_central.stable_term.is_full() else []
+    assert [c for c in calls if c is not center] == steps + last
     assert prof == reference.unbounded_profile(L)
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl12", "gl4", "rational-gl3"])
+def test_center_forms_no_row_after_its_stop(name):
+    """`upper_extension(L, 0)` has no basis row to test the rows left after its
+    stop on, so it forms none: sl_n, whose center is 0, stops at rank n, and on
+    gl4 and rational gl3, whose center is a line, the rank never reaches n."""
+    L = reference.build(name)
+    got, stopped, _ = _traced_upper_extension(L, L.zero_space())
+    assert not stopped
+    assert got.dim == (0 if name.startswith("sl") else 1)
+    assert L.dim > 16 or got == reference.dense_upper_extension(L, L.zero_space())

@@ -19,6 +19,9 @@ Algorithms*, ch. 1) and the upper extension in `series` walk only its nonzero
 entries, so an abelian algebra costs next to nothing at any size.  Scaling by
 D keeps antisymmetry, Jacobi, spans and kernels, so these and `Subspace` rows
 run on integers alone; `bracket` divides by D once, the Killing form by D².
+`validate` packs each row of the table into one integer, a slot of bits per
+coordinate wide enough for every entry of a Jacobi sum (Kronecker
+substitution), so a term of a sum is one integer multiply-add.
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -142,6 +145,61 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, nonzero={nonzero})"
 
 
+_PACKED_BITS = 1 << 16  # the bits a block of coordinates packed by `validate` may fill
+
+
+def _packed_block(adj, w: int, lo: int, hi: int, bad_pairs: list) -> list[dict[int, int]]:
+    """packed[a][b] = Σ_k a^k_ab << w·(k − lo) over lo <= k < hi for the stored
+    D·[e_a, e_b], zeros left out.  Appends each pair (a, b), a <= b, whose rows
+    fail antisymmetry on these coordinates to bad_pairs: a row meets its
+    reverse when the later of the two is packed, or is nonzero without one."""
+    packed: list[dict[int, int]] = []
+    for a, row in enumerate(adj):
+        prow = {}
+        for b, col in row.items():
+            p = 0
+            for k, v in col.items():
+                if lo <= k < hi:
+                    p += v << w * (k - lo)
+            if p:
+                prow[b] = p
+            if b < a:
+                if packed[b].get(a, 0) != -p:
+                    bad_pairs.append((b, a))
+            elif p and (b == a or a not in adj[b]):
+                bad_pairs.append((a, b))
+        packed.append(prow)
+    return packed
+
+
+def _first_failing_triple(adj, packed, by_output, last: int) -> tuple[int, int, int] | None:
+    """The least (i, j, k), i < j < k, i <= last, whose packed D²·J(i, j, k) is
+    nonzero, from the packed rows of an antisymmetric table.  [[e_i, e_x], e_c]
+    belongs to J(i, x, c), or with sign − to J(i, c, x); [[e_a, e_b], e_i] =
+    −Σ_x a^x_ab·[e_i, e_x] belongs to J(i, a, b)."""
+    n = len(adj)
+    for i, row in enumerate(adj[:last + 1]):
+        prow, sums = packed[i], {}  # j·n + k -> packed D²·J(i, j, k)
+        for x, col in row.items():
+            if x > i:
+                for m, cm in col.items():
+                    for c, out in packed[m].items():
+                        if c > x:
+                            key = x * n + c
+                            sums[key] = sums.get(key, 0) + cm * out
+                        elif i < c < x:
+                            key = c * n + x
+                            sums[key] = sums.get(key, 0) - cm * out
+            if p := prow.get(x):
+                for a, b, cm in by_output.get(x, ()):
+                    if a > i:
+                        key = a * n + b
+                        sums[key] = sums.get(key, 0) - cm * p
+        if any(sums.values()):
+            return (i, *divmod(min(key for key, s in sums.items() if s), n))
+    return None
+
+
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(dim))
 
@@ -195,17 +253,36 @@ class LieAlgebra:
 
         Returns the first violation found, in index order; violations are
         report data, not exceptions.  Checking Jacobi on basis triples
-        suffices by trilinearity.  Each sum J(i, j, k), i < j < k, is built
-        from its nonzero terms c^m_ab·c^l_mc alone, grouped by the smallest
-        index i (`notes/decisions.md`, "Jacobi by terms").
+        suffices by trilinearity.  Each stored row D·[e_a, e_b] is packed
+        into one integer with a^k_ab in a slot of w bits at k, w chosen so
+        that every entry of D²·J(i, j, k) fits a slot; a packed sum is then 0
+        iff all its entries are.  Antisymmetry compares packed rows.  Each
+        D²·J(i, j, k), i < j < k, is one integer built from its nonzero terms
+        a^m_ab·[e_m, e_c] alone, grouped by the smallest index i.  Where n
+        slots would pass `_PACKED_BITS`, the coordinates are split into
+        blocks checked in turn (`notes/decisions.md`, "Jacobi by terms").
         """
-        adj = self.constants.adjoint
-        bad_pairs = [
-            (min(i, j), max(i, j))
-            for i, row in enumerate(adj)
-            for j, col in row.items()
-            if adj[j].get(i, {}) != {k: -v for k, v in col.items()}
-        ]
+        adj, n = self.constants.adjoint, self.dim
+        top, by_output = 0, {}  # by_output: m -> [(a, b, a^m_ab) for a < b]
+        for a, row in enumerate(adj):
+            for b, col in row.items():
+                for m, v in col.items():
+                    if v > top or -v > top:
+                        top = abs(v)
+                    if a < b:
+                        by_output.setdefault(m, []).append((a, b, v))
+        if not top:
+            return ValidationReport(ok=True)
+        w = (3 * n * top * top).bit_length()  # |an entry of D²·J(i, j, k)| <= 3n·top² < 2^w
+        size = max(1, _PACKED_BITS // w)  # coordinates per block
+        bad_pairs: list[tuple[int, int]] = []
+        triples: list[tuple[int, int, int]] = []  # the first failing triple of each block
+        for lo in range(0, n, size):
+            packed = _packed_block(adj, w, lo, lo + size, bad_pairs)
+            if not bad_pairs:  # Jacobi by terms reads antisymmetry on every block
+                last = min(triples)[0] if triples else n
+                if triple := _first_failing_triple(adj, packed, by_output, last):
+                    triples.append(triple)
         if bad_pairs:
             i, j = min(bad_pairs)
             return ValidationReport(
@@ -217,36 +294,10 @@ class LieAlgebra:
                     f"[e{i + 1},e{j + 1}] != -[e{j + 1},e{i + 1}]"
                 ),
             )
-        by_output: dict[int, list[tuple]] = {}  # m -> [(a, b, a^m_ab) for a < b]
-        for a, row in enumerate(adj):
-            for b, col in row.items():
-                if a < b:
-                    for m, v in col.items():
-                        by_output.setdefault(m, []).append((a, b, v))
-        for i, row in enumerate(adj):
-            # (j, k) -> the terms (coefficient, bracket row) of D²·J(i, j, k); [[e_i, e_x], e_c]
-            # belongs to J(i, x, c), or by antisymmetry with sign − to J(i, c, x)
-            terms: dict[tuple[int, int], list[tuple]] = {}
-            for x, col in row.items():
-                if x > i:
-                    for m, cm in col.items():
-                        for c, out in adj[m].items():
-                            if c > x:
-                                terms.setdefault((x, c), []).append((cm, out))
-                            elif i < c < x:
-                                terms.setdefault((c, x), []).append((-cm, out))
-                # [[e_a, e_b], e_i] = −Σ_x a^x_ab·[e_i, e_x] is a sum of terms of J(i, a, b)
-                for a, b, cm in by_output.get(x, ()):
-                    if a > i:
-                        terms.setdefault((a, b), []).append((-cm, col))
-            for j, k in sorted(terms):
-                s: dict[int, int] = {}  # D²·J(i, j, k)
-                for f, out in terms[j, k]:
-                    for l, cl in out.items():
-                        s[l] = s.get(l, 0) + f * cl
-                if any(s.values()):
-                    message = f"Jacobi identity fails on triple (e{i + 1}, e{j + 1}, e{k + 1})"
-                    return ValidationReport(False, "jacobi", (i + 1, j + 1, k + 1), message)
+        if triples:
+            i, j, k = min(triples)
+            message = f"Jacobi identity fails on triple (e{i + 1}, e{j + 1}, e{k + 1})"
+            return ValidationReport(False, "jacobi", (i + 1, j + 1, k + 1), message)
         return ValidationReport(ok=True)
 
     # -- vectors and spaces ----------------------------------------------------

@@ -229,10 +229,14 @@ def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s."""
-    if not L.is_ideal(s):
+    """Ideal with [L, s] = s.  The D·[e_i, r] over s's basis rows r span [L, s];
+    they are formed once, for the ideal test (each reduces to zero mod s) and
+    for the span, which s then bounds."""
+    L._check_ambient(s)
+    brackets = [b for r in s.int_rows for b in L._basis_brackets(r)]
+    if any(s._reduce(b) for b in brackets):
         raise NotAnIdealError("subspace is not an ideal")
-    return Subspace.span(L._brackets(L.full_space(), s), L.dim, s.dim) == s  # s holds [L, s]
+    return Subspace.span(brackets, L.dim, s.dim) == s
 
 
 def is_upper_bounded_ideal(L: LieAlgebra, s: Subspace) -> bool:

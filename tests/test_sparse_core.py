@@ -6,7 +6,7 @@ are the dense `ad`-matrix computations they replaced.  Both are compared
 entry by entry on the catalog, the seeded random corpus, the matrix-unit
 families up to dimension 16, three of them again in a dense rational basis,
 and abelian algebras.  `LieAlgebra.validate`, which sums each Jacobi triple
-from its nonzero terms and works on the constants scaled to integers,
+from its nonzero terms on the constants scaled to integers and packed,
 is compared with the check over every pair and triple, and its whole report
 with the triple loop it replaced (`reference.triple_validate`), on random raw
 tables, most of them invalid, with integer constants and with denominators.
@@ -25,7 +25,7 @@ products, on the same kinds of subspace and, under hypothesis, on catalog
 and random-corpus algebras in their own and a rational basis: equal
 results, or `NotAnIdealError` from both, and `upper_extension` raises
 exactly when `is_ideal` is False.  `is_perfect_ideal` and
-`is_near_perfect_ideal`, whose products stop at s once `is_ideal` passed,
+`is_near_perfect_ideal`, whose products stop at s once s passed the ideal test,
 are compared with theirs on seeded and random raw one-sided tables too.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
@@ -51,9 +51,10 @@ and forms [L, L] afresh, and the whole `profile` with
 and, under hypothesis, on random-corpus algebras in their own and a rational
 basis and on random raw tables.  A monkeypatched `insert_row` shows that the
 stabilizing steps insert no row once their table has the bound's rank, and
-that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which asks
-`is_ideal` before it bounds [L, s] by s, still rejects non-ideals whose
-product has their dimension.  `bracket_spaces`, which takes no bound, is compared with
+that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which reduces
+every bracket [e_i, r] modulo s before it spans the same brackets bounded
+by s, still rejects non-ideals whose product has their dimension, and forms
+each of those brackets once.  `bracket_spaces`, which takes no bound, is compared with
 `reference.unbounded_product` on spans that are neither ideals nor series
 terms: under hypothesis on the same random inputs, and on fixed spans of
 matrix-unit algebras, where a product can outgrow both factors.
@@ -561,6 +562,25 @@ def test_near_perfect_ideal_test_forms_an_unbounded_product(name, col, product):
     assert L.bracket_spaces(L.full_space(), s) == Subspace.span(product, 3)
     with pytest.raises(NotAnIdealError):
         is_near_perfect_ideal(L, s)
+
+
+@pytest.mark.parametrize("name", ["gl3", "b4", "rational-gl3"])
+def test_near_perfect_ideal_test_forms_its_brackets_once(name, monkeypatch):
+    """The ideal test and the span of [L, s] share one list of brackets: one
+    `_basis_brackets` call per basis row of s, and no `_brackets` product."""
+    L = reference.build(name)
+    ideals = [L.full_space(), series.derived_subalgebra(L), radical(L), L.zero_space()]
+    expected = [reference.checked_is_near_perfect_ideal(L, s) for s in ideals]
+    calls = []
+    basis_brackets = LieAlgebra._basis_brackets
+    monkeypatch.setattr(LieAlgebra, "_basis_brackets",
+                        lambda self, u: calls.append(u) or basis_brackets(self, u))
+    monkeypatch.setattr(LieAlgebra, "_brackets", None)  # calling it would raise
+    for s, near_perfect in zip(ideals, expected):
+        calls.clear()
+        assert is_near_perfect_ideal(L, s) == near_perfect
+        assert len(calls) == s.dim
+    assert expected[:2] == [False, True]  # [L, L] < L, and [L, [L, L]] = [L, L]
 
 
 def _random_spans(draw, L: LieAlgebra) -> tuple[Subspace, Subspace]:

@@ -21,7 +21,15 @@ D keeps antisymmetry, Jacobi, spans and kernels, so these and `Subspace` rows
 run on integers alone; `bracket` divides by D once, the Killing form by D².
 `validate` packs each row of the table into one integer, a slot of bits per
 coordinate wide enough for every entry of a Jacobi sum (Kronecker
-substitution), so a term of a sum is one integer multiply-add.
+substitution), so a term of a sum is one integer multiply-add; its report is
+cached on the algebra.
+
+A set G of basis vectors that generates L as a Lie algebra
+(`LieAlgebra._generators`, built when a step first needs it) stands in for
+the whole basis wherever a step brackets with all of L: the ideal test, the
+ideal closure, the lower central step and the upper extension in `series`.
+Those shortcuts rest on the Jacobi identity, so on a table that fails
+`validate` G is every index, which is the all-basis computation itself.
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -252,7 +260,9 @@ class LieAlgebra:
         """Check antisymmetry on all pairs, then Jacobi on all basis triples.
 
         Returns the first violation found, in index order; violations are
-        report data, not exceptions.  Checking Jacobi on basis triples
+        report data, not exceptions.  The report is computed once and cached
+        on the algebra; `quotient` and `restrict` hand a passing one on to
+        the algebra they build.  Checking Jacobi on basis triples
         suffices by trilinearity.  Each stored row D·[e_a, e_b] is packed
         into one integer with a^k_ab in a slot of w bits at k, w chosen so
         that every entry of D²·J(i, j, k) fits a slot; a packed sum is then 0
@@ -262,6 +272,10 @@ class LieAlgebra:
         slots would pass `_PACKED_BITS`, the coordinates are split into
         blocks checked in turn (`notes/decisions.md`, "Jacobi by terms").
         """
+        return self._validation
+
+    @cached_property
+    def _validation(self) -> ValidationReport:  # `validate`'s report, computed once
         adj, n = self.constants.adjoint, self.dim
         top, by_output = 0, {}  # by_output: m -> [(a, b, a^m_ab) for a < b]
         for a, row in enumerate(adj):
@@ -357,8 +371,8 @@ class LieAlgebra:
                 .values() if (w := self._bracket(x, y)))
 
     def is_ideal(self, s: Subspace) -> bool:
-        """True iff [L, s] is contained in s: by bilinearity, iff every nonzero
-        D·[e_i, r] for a basis row r of s reduces to zero modulo s."""
+        """True iff [L, s] is contained in s: iff every nonzero D·[e_g, r], g in G
+        (`_generators`), for a basis row r of s reduces to zero modulo s."""
         self._check_ambient(s)
         return not any(s._reduce(b) for r in s.int_rows for b in self._basis_brackets(r))
 
@@ -373,11 +387,53 @@ class LieAlgebra:
                 by_right[j][i] = col
         return tuple(by_right)
 
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """G, sorted: basis indices whose span, closed under ad e_g for g in G, is
+        L, so G generates L (`notes/decisions.md`, "One Lie generating set").
+        The shortcuts G allows rest on the Jacobi identity, so on a table that
+        fails `validate` G is every index.
+
+        One worklist pass: the candidates that occur in no stored bracket come
+        first, then the rest in index order; e_c joins G when it is not in the
+        span so far, and is bracketed with the rows so far; each new row is
+        bracketed with every g in G.  The row of e_c needs no brackets, since
+        [e_g, e_c] = −[e_c, e_g] and e_g is in the span.  The pass stops at rank n."""
+        n, adj = self.dim, self.constants.adjoint
+        if not self._validation.ok:
+            return tuple(range(n))
+        seen = {k for row in adj for col in row.values() for k in col}  # in some bracket
+        rows, added, gens = {}, [], []  # added: every row stored, spanning the table
+        for c in [c for c in range(n) if c not in seen] + sorted(seen):
+            if len(rows) == n:
+                break
+            if (u := insert_row(rows, {c: 1})) is None:  # e_c is in the closure so far
+                continue
+            gens.append(c)
+            todo = [(c, r) for r in added]  # (g, row) pairs, bracketed only when reached
+            added.append(u)
+            for g, r in todo:  # grows while it is walked
+                if len(rows) == n:
+                    break
+                if (u := insert_row(rows, self._bracket({g: 1}, r))) is not None:
+                    added.append(u)
+                    todo += [(h, u) for h in gens]
+        return tuple(sorted(gens))
+
+    @cached_property
+    def _by_right_g(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """_by_right with only the left factors in G: _by_right_g[j] = {g: D·[e_g, e_j]}."""
+        gens = set(self._generators)
+        if len(gens) == self.dim:
+            return self._by_right
+        return tuple({i: col for i, col in right.items() if i in gens}
+                     for right in self._by_right)
+
     def _basis_brackets(self, u: dict) -> list[dict]:
-        """The nonzero D·[e_i, u] = Σ_j u_j·D·[e_i, e_j] as {k: value}, in order of
-        i, for u given as {j: u_j} without zeros: one pass over u's support."""
+        """The nonzero D·[e_g, u] = Σ_j u_j·D·[e_g, e_j] for g in G as {k: value},
+        in order of g, for u given as {j: u_j} without zeros: one pass over u's support."""
         out: dict[int, dict] = {}
-        by_right = self._by_right
+        by_right = self._by_right_g
         for j, x in u.items():
             for i, col in by_right[j].items():
                 b = out.setdefault(i, {})
@@ -388,10 +444,11 @@ class LieAlgebra:
     def ideal_closure(self, vectors: Iterable[Sequence]) -> Subspace:
         """Smallest ideal containing the vectors, grown one echelon row at a time.
 
-        Each row that `insert_row` adds is bracketed once with every e_i and the
-        nonzero brackets are inserted in turn, so the final span is closed under
-        [L, ·] and lies in the ideal the vectors generate (`notes/decisions.md`).
-        Once the table has rank n its span is L, an ideal, and the loop stops.
+        Each row that `insert_row` adds is bracketed once with every e_g, g in G,
+        and the nonzero brackets are inserted in turn, so the final span is closed
+        under [G, ·], hence an ideal, and lies in the ideal the vectors generate
+        (`notes/decisions.md`).  Once the table has rank n its span is L, an
+        ideal, and the loop stops.
         """
         n = self.dim
         rows, todo = {}, [sparse(v, n) for v in vectors]
@@ -475,7 +532,7 @@ class LieAlgebra:
                 if p < q:
                     table[(p, q)] = {index[c]: Fraction(v, scale) for c, v in w.items()
                                      if c in index}
-        return LieAlgebra(StructureConstants.from_brackets(s.dim, table))
+        return self._child(LieAlgebra(StructureConstants.from_brackets(s.dim, table)))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
         """Map restricted coordinates back to ambient coordinates."""
@@ -508,4 +565,11 @@ class LieAlgebra:
                     table[(index[i], index[j])] = {index[c]: Fraction(x, scale)
                                                    for c, x in ideal._reduce(col).items()}
         labels = tuple(self.labels[c] for c in free)
-        return LieAlgebra(StructureConstants.from_brackets(len(free), table), labels)
+        return self._child(LieAlgebra(StructureConstants.from_brackets(len(free), table), labels))
+
+    def _child(self, child: "LieAlgebra") -> "LieAlgebra":
+        """child, a quotient or subalgebra of this algebra, given this algebra's
+        cached `validate` report if it passes: then both are Lie algebras."""
+        if (report := self.__dict__.get("_validation")) and report.ok:
+            child.__dict__["_validation"] = report
+        return child

@@ -13,6 +13,10 @@ By bilinearity each term holds the next, and an ideal s holds [L, s], so a step,
 product of s after `is_ideal`, reads brackets (`LieAlgebra._brackets`) only up to that
 dimension; only this module stops a product or an upper extension early
 (`notes/decisions.md`, "Bounded products", "The upper central series stops too").
+D(L) is the span of the stored brackets.  Each term is an ideal, so a lower central
+step [L, t] and an upper extension bracket with the generating set G of L
+(`LieAlgebra._generators`) instead of every basis vector (`notes/decisions.md`,
+"One Lie generating set").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -79,15 +83,22 @@ def iterate_series(
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    """D(L) = [L, L], term 1 of both descending series."""
-    return L.bracket_spaces(L.full_space(), L.full_space())
+    """D(L) = [L, L], term 1 of both descending series: the span of the stored
+    brackets [e_i, e_j], read as they are, with no product formed.  On a table that
+    passes `validate`, antisymmetry gives [e_j, e_i] and [e_i, e_i] = 0 from the
+    pairs i < j, which alone are read; a raw table keeps both orientations."""
+    ok = L._validation.ok  # the cached `validate` report
+    return Subspace.span((col for i, row in enumerate(L.constants.adjoint)
+                          for j, col in row.items() if i < j or not ok), L.dim, L.dim)
 
 
 def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace) -> SeriesReport:
-    """L, then d1 = D(L), then each [t, t] or [L, t] bounded by the term t, which holds it."""
+    """L, then d1 = D(L), then each [t, t] or [L, t] bounded by the term t, which holds
+    it; [L, t] is spanned by [G, t], as t is an ideal (`LieAlgebra._generators`)."""
     derived = kind is SeriesKind.DERIVED
     return iterate_series(kind, L.full_space(), lambda t: d1 if t.is_full() else Subspace.span(
-        L._brackets(t if derived else L.full_space(), t), L.dim, t.dim))
+        L._brackets(t, t) if derived else (b for r in t.int_rows for b in L._basis_brackets(r)),
+        L.dim, t.dim))
 
 
 def derived_series(L: LieAlgebra) -> SeriesReport:
@@ -112,18 +123,20 @@ def _extension_rows(ideal: Subspace, images):
 
 
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """U(I) = {x : [x, e_j] lies in I for every basis vector e_j}: the kernel of
-    `_extension_rows` over the standard basis, whose images are `L._by_right`.
-    I <= U(I) exactly when [I, L] <= I, the ideal test on an antisymmetric table;
-    otherwise this raises NotAnIdealError.  U(I) is again an ideal.  The rows of an
-    ideal have rank n − dim U(I) <= n − dim I, so the elimination stops there; then
-    I <= U(I) iff I is the kernel so far and the rows left vanish on I's basis, and
-    for I = 0, with no basis row, none is formed (`notes/decisions.md`, "The upper
-    central series stops too")."""
+    """U(I) = {x : [x, e_g] lies in I for every g in G}: the kernel of
+    `_extension_rows` over the generators G of L (`LieAlgebra._generators`), whose
+    images are `L._by_right[g]`.  For an ideal I that is {x : [x, L] <= I}, since
+    {y : [x, y] in I} is then a subalgebra.  I <= U(I) exactly when [I, G] <= I,
+    the ideal test on a table that passes `validate` (on any other G is every
+    index and [I, L] <= I is the test); otherwise this raises NotAnIdealError.
+    U(I) is again an ideal.  The rows of an ideal have rank n − dim U(I) <= n − dim I,
+    so the elimination stops there; then I <= U(I) iff I is the kernel so far and
+    the rows left vanish on I's basis, and for I = 0, with no basis row, none is
+    formed (`notes/decisions.md`, "The upper central series stops too")."""
     L._check_ambient(ideal)
     if ideal.is_full():
         return ideal
-    rows = _extension_rows(ideal, L._by_right)
+    rows = _extension_rows(ideal, (L._by_right[g] for g in L._generators))
     u = Subspace.span(rows, L.dim, L.dim - ideal.dim).annihilator()
     if not ideal.leq(u) or not ideal.is_zero() and any(
             sum(x * b[i] for i, x in r.items() if i in b) for r in rows for b in ideal.int_rows):
@@ -132,13 +145,16 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
 
 
 def _center_in(L: LieAlgebra, rad: Subspace) -> Subspace:
-    """Z(L), solved over the rows R_a of rad = R(L) as unknowns.  A central x has
-    ad x = 0, so K(x, ·) = 0 and x lies in L^⊥ <= D(L)^⊥ = R on any table."""
+    """Z(L), solved over the rows R_a of rad = R(L) as unknowns, with [x, e_g] = 0
+    for g in G.  A central x has ad x = 0, so K(x, ·) = 0 and x lies in
+    L^⊥ <= D(L)^⊥ = R on any table.  With no unknown (R = 0) there is no row,
+    and G is not built."""
     if rad.is_full():  # the unknowns are the standard basis: U(0) itself
         return upper_extension(L, L.zero_space())
-    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[R_a, e_j], summed over R_a's i
+    gens = L._generators if rad.dim else ()
+    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[R_a, e_g], summed over R_a's i
                if (w := combination((x, right[i]) for i, x in r.items() if i in right))}
-              for right in L._by_right)
+              for right in (L._by_right[g] for g in gens))
     coeffs = Subspace.span(_extension_rows(L.zero_space(), images), rad.dim, rad.dim).annihilator()
     return Subspace.span([combination((y, rad.int_rows[a]) for a, y in c.items())
                           for c in coeffs.int_rows], L.dim)
@@ -229,9 +245,9 @@ def is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """Ideal with [L, s] = s.  The D·[e_i, r] over s's basis rows r span [L, s];
-    they are formed once, for the ideal test (each reduces to zero mod s) and
-    for the span, which s then bounds."""
+    """Ideal with [L, s] = s.  The D·[e_g, r], g in G, over s's basis rows r span
+    [L, s] for an ideal s; they are formed once, for the ideal test (each reduces
+    to zero mod s) and for the span, which s then bounds."""
     L._check_ambient(s)
     brackets = [b for r in s.int_rows for b in L._basis_brackets(r)]
     if any(s._reduce(b) for b in brackets):

@@ -10,13 +10,14 @@ from its nonzero terms on the constants scaled to integers and packed,
 is compared with the check over every pair and triple, and its whole report
 with the triple loop it replaced (`reference.triple_validate`), on random raw
 tables, most of them invalid, with integer constants and with denominators.
-`LieAlgebra.ideal_closure`, which brackets L once with each echelon row it
-adds, is compared with `reference.naive_ideal_closure`, which brackets L
-with the whole subspace every round, on random vectors of every input and,
-under hypothesis, of random-corpus algebras in their own and a rational basis,
-and on generators of L that bring its table to rank n early, where it must
-stop.  `LieAlgebra.is_ideal`, which reduces each bracket [e_i, r] modulo the
-subspace, is compared with `reference.naive_is_ideal`, which echelonizes
+`LieAlgebra.ideal_closure`, which brackets a generating set G of L once with
+each echelon row it adds, is compared with `reference.naive_ideal_closure`,
+which brackets L with the whole subspace every round, on random vectors of
+every input and, under hypothesis, of random-corpus algebras in their own and
+a rational basis, and on generators of L that bring its table to rank n
+early, where it must stop (G is built before that run is recorded).
+`LieAlgebra.is_ideal`, which reduces each bracket [e_g, r], g in G, modulo
+the subspace, is compared with `reference.naive_is_ideal`, which echelonizes
 [L, s] first, on ideals, lines and random spans of the same inputs.
 `upper_extension`, which finds out from its own computation whether the
 subspace is an ideal, and the ideal predicates are compared with
@@ -51,10 +52,11 @@ and forms [L, L] afresh, and the whole `profile` with
 and, under hypothesis, on random-corpus algebras in their own and a rational
 basis and on random raw tables.  A monkeypatched `insert_row` shows that the
 stabilizing steps insert no row once their table has the bound's rank, and
-that `profile` forms [L, L] once.  `is_near_perfect_ideal`, which reduces
-every bracket [e_i, r] modulo s before it spans the same brackets bounded
-by s, still rejects non-ideals whose product has their dimension, and forms
-each of those brackets once.  `bracket_spaces`, which takes no bound, is compared with
+that `profile` forms D(L) once, from the stored brackets, with no product.
+`is_near_perfect_ideal`, which reduces every bracket [e_g, r] modulo s before
+it spans the same brackets bounded by s, still rejects non-ideals whose
+product has their dimension, and forms each of those brackets once.
+`bracket_spaces`, which takes no bound, is compared with
 `reference.unbounded_product` on spans that are neither ideals nor series
 terms: under hypothesis on the same random inputs, and on fixed spans of
 matrix-unit algebras, where a product can outgrow both factors.
@@ -448,10 +450,13 @@ def test_ideal_predicates_match_checked_reference_on_random_spans(L, rational, d
 @pytest.mark.parametrize("name", ["gl3", "b4", "rational-b3", "rational-gl3"])
 def test_ideal_closure_stops_at_rank_n(name, monkeypatch):
     """The basis vectors off the pivots of [L, L] generate L here; the closure
-    inserts nothing after its table reaches rank n and matches the naive loop."""
+    inserts nothing after its table reaches rank n and matches the naive loop.
+    The generating set G, which the closure brackets with, is built first, so
+    only the closure's own table is recorded."""
     L = reference.build(name)
     n, derived = L.dim, L.bracket_spaces(L.full_space(), L.full_space())
     vecs = [[int(i == c) for i in range(n)] for c in derived.free_columns()]
+    assert L._generators
     ranks = []
     insert_row = core.insert_row
 
@@ -510,11 +515,12 @@ def test_descending_series_match_unbounded_products_on_random_algebras(seed, k, 
 def test_descending_products_stop_at_the_bounding_term(name, monkeypatch):
     """Each series' stabilizing step, and [s, s] in `is_perfect_ideal`, inserts
     no row once its table has the rank of the term that bounds it; `profile`
-    forms [L, L] once for both descending series."""
+    forms D(L) once for both descending series, from the stored brackets, with
+    no `bracket_spaces` product."""
     L = reference.build(name)
-    spans, products = [], []  # (rank, table size after each insertion); (a, b)
+    spans, products, derived = [], [], []  # (rank, table size after each insertion); ...
     echelon_rows, insert_row = linalg.echelon_rows, linalg.insert_row
-    bracket_spaces = LieAlgebra.bracket_spaces
+    bracket_spaces, derived_subalgebra = LieAlgebra.bracket_spaces, series.derived_subalgebra
 
     def record_span(rows, cols, rank=None):
         spans.append((rank, []))
@@ -529,6 +535,10 @@ def test_descending_products_stop_at_the_bounding_term(name, monkeypatch):
         products.append((a, b))
         return bracket_spaces(self, a, b, *bound)
 
+    def record_derived(L):
+        derived.append(L)
+        return derived_subalgebra(L)
+
     def assert_stopped(rank):
         got, sizes = spans[-1]
         assert got == rank and sizes.index(rank) == len(sizes) - 1
@@ -536,16 +546,17 @@ def test_descending_products_stop_at_the_bounding_term(name, monkeypatch):
     monkeypatch.setattr(subspace, "echelon_rows", record_span)
     monkeypatch.setattr(linalg, "insert_row", record_insert)
     monkeypatch.setattr(LieAlgebra, "bracket_spaces", record_product)
-    for series in (lower_central_series, derived_series):
-        stable = series(L).stable_term
+    monkeypatch.setattr(series, "derived_subalgebra", record_derived)
+    for chain in (lower_central_series, derived_series):
+        stable = chain(L).stable_term
         assert_stopped(stable.dim)
     assert is_perfect_ideal(L, stable)
     assert_stopped(stable.dim)
     products.clear()
+    derived.clear()
     prof = profile(L)
     monkeypatch.undo()
-    full = L.full_space()
-    assert products.count((full, full)) == 1
+    assert derived == [L] and products == []
     assert prof == reference.unbounded_profile(L)
 
 
@@ -619,9 +630,16 @@ INTEGER_VALUES = (0, 0, 1, -1, 2)
 RATIONAL_VALUES = (0, 0, 1, Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4))
 
 
+#: Inputs profiled beyond INPUTS for the elimination check below: an upper
+#: extension brackets with a generating set, not the whole basis, so INPUTS
+#: alone show the kernel fewer matrices than the check asks for.
+PROFILE_MATRIX_EXTRAS = ("rational-sl3", "rational-b4", "rational-n4", "rational-n6")
+
+
 def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
-    """Every matrix the elimination kernel sees while profiling the inputs:
-    its canonical integer rows, divided by their pivots, are the RREF."""
+    """Every matrix the elimination kernel sees while profiling the inputs and
+    PROFILE_MATRIX_EXTRAS: its canonical integer rows, divided by their pivots,
+    are the RREF."""
     seen = {}
     kernel = linalg.echelon_rows
 
@@ -634,7 +652,7 @@ def test_rref_matches_fraction_slow_path_on_profile_matrices(monkeypatch):
 
     monkeypatch.setattr(linalg, "echelon_rows", record)
     monkeypatch.setattr(subspace, "echelon_rows", record)
-    for name, L in INPUTS:
+    for name, L in INPUTS + [(name, reference.build(name)) for name in PROFILE_MATRIX_EXTRAS]:
         profile(L)
     monkeypatch.undo()
     assert len(seen) >= 300

@@ -13,14 +13,16 @@ Subtraction is written with negative rationals (`-1*e2`), not a `-`
 separator.  Each pair may be defined at most once in either orientation;
 undeclared brackets are zero and reversed brackets are derived by
 antisymmetry.  The parsed algebra must satisfy the antisymmetry and Jacobi
-axioms, otherwise parsing fails with the offending indices.
+axioms, otherwise parsing fails with the offending indices.  Numerators and
+denominators are read with `int()` alone; `StructureConstants` gets integer
+numerators over the lcm of the denominators.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 
 from .core import LieAlgebra, StructureConstants, ValidationReport
 
@@ -30,7 +32,7 @@ MAX_DIM = 256
 _DIM_RE = re.compile(r"dim\s+(\d+)$")
 _BASIS_RE = re.compile(r"basis\s+(.+)$")
 _BRACKET_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
-_TERM_RE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*e(\d+)$")
+_TERM_RE = re.compile(r"\s*((-?\d+)(?:/(\d+))?\s*\*\s*e(\d+))\s*(\+|\Z)")
 
 
 class AlgebraFileError(Exception):
@@ -53,13 +55,26 @@ class InvalidAlgebraError(AlgebraFileError):
         super().__init__(report.message)
 
 
-def _numeral(text: str, lineno: int, kind=int):
-    """kind(text); a numeral past Python's int-string digit limit is a ParseError."""
-    try:
-        return kind(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"number exceeds the limit of {limit} digits", lineno) from None
+def _terms(rhs: str, dim: int, s: int, lineno: int) -> tuple[dict[int, int], int]:
+    """({k - 1: s'·c^k}, s') for a bracket line's right-hand side, read a term and its
+    `+` at a time: e_k add up, and s' is the least multiple of s each q divides."""
+    terms, pos, more = {}, 0, rhs != "0"
+    while more:  # `more`: a `+` follows the term read
+        if (t := _TERM_RE.match(rhs, pos)) is None:
+            part = rhs[pos:].split("+", 1)[0].strip()
+            raise ParseError(f"malformed term {part!r} in {rhs!r}", lineno)
+        part, n, q, k, more = t.groups()
+        n, q = int(n), int(q) if q else 1
+        if not q:
+            raise ParseError(f"zero denominator in {part!r}", lineno)
+        if not (1 <= (k := int(k)) <= dim):
+            raise ParseError(f"basis index e{k} out of range", lineno)
+        if s % q:
+            f = q // gcd(s, q)
+            s, terms = s * f, {c: x * f for c, x in terms.items()}
+        terms[k - 1] = terms.get(k - 1, 0) + n * (s // q)
+        pos = t.end()
+    return terms, s
 
 
 def parse_algebra(text: str) -> LieAlgebra:
@@ -70,8 +85,8 @@ def parse_algebra(text: str) -> LieAlgebra:
     """
     dim: int | None = None
     labels: tuple[str, ...] | None = None
-    brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}  # (i, j) -> {k: c^k_ij}
-    seen_pairs: set[tuple[int, int]] = set()
+    scale = 1  # the lcm of the denominators read so far
+    brackets = {}  # {i, j} as a sorted pair -> (i - 1, j - 1, {k - 1: s·c^k_ij}, s)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -87,7 +102,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             digits = m.group(1).lstrip("0")
             if len(digits) > len(str(MAX_DIM)) or int(digits or 0) > MAX_DIM:
                 raise ParseError(f"dim exceeds the limit of {MAX_DIM}", lineno)
-            dim = int(m.group(1))
+            dim = int(digits or 0)
             continue
 
         if line.startswith("basis"):
@@ -111,38 +126,20 @@ def parse_algebra(text: str) -> LieAlgebra:
         if line.startswith("["):
             if dim is None:
                 raise ParseError("bracket line before dim", lineno)
-            m = _BRACKET_RE.fullmatch(line)
-            if m is None:
+            if (m := _BRACKET_RE.fullmatch(line)) is None:
                 raise ParseError("malformed bracket line", lineno)
-            i, j = _numeral(m.group(1), lineno), _numeral(m.group(2), lineno)
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(f"bracket index out of range in [{i},{j}]", lineno)
-            key = (min(i, j), max(i, j))
-            if key in seen_pairs:
-                raise ParseError(
-                    f"bracket pair ({i},{j}) already defined "
-                    "(in this or the reversed orientation)",
-                    lineno,
-                )
-            seen_pairs.add(key)
-            rhs = m.group(3).strip()
-            terms: dict[int, int | Fraction] = {}  # repeated e_k add up; a zero sum is dropped
-            if rhs != "0":
-                for part in rhs.split("+"):
-                    t = _TERM_RE.fullmatch(part.strip())
-                    if t is None:
-                        raise ParseError(f"malformed term {part.strip()!r} in {rhs!r}", lineno)
-                    try:  # an integer skips Fraction's string parser
-                        coeff = _numeral(t.group(1), lineno, Fraction if "/" in part else int)
-                    except ZeroDivisionError:
-                        raise ParseError(
-                            f"zero denominator in {part.strip()!r}", lineno
-                        ) from None
-                    k = _numeral(t.group(2), lineno)
-                    if not (1 <= k <= dim):
-                        raise ParseError(f"basis index e{k} out of range", lineno)
-                    terms[k - 1] = terms[k - 1] + coeff if k - 1 in terms else coeff
-            brackets[(i - 1, j - 1)] = terms
+            try:
+                i, j = int(m.group(1)), int(m.group(2))
+                if not (1 <= i <= dim and 1 <= j <= dim):
+                    raise ParseError(f"bracket index out of range in [{i},{j}]", lineno)
+                if (key := (i, j) if i < j else (j, i)) in brackets:
+                    raise ParseError(f"bracket pair ({i},{j}) already defined "
+                                     "(in this or the reversed orientation)", lineno)
+                terms, scale = _terms(m.group(3).strip(), dim, scale, lineno)
+            except ValueError:  # from int(), past Python's int-string digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"number exceeds the limit of {limit} digits", lineno) from None
+            brackets[key] = i - 1, j - 1, terms, scale
             continue
 
         raise ParseError(f"unrecognized line {line!r}", lineno)
@@ -150,7 +147,9 @@ def parse_algebra(text: str) -> LieAlgebra:
     if dim is None:
         raise ParseError("missing dim line")
 
-    algebra = LieAlgebra(StructureConstants.from_brackets(dim, brackets), labels)
+    table = {(i, j): {k: x * (scale // s) for k, x in terms.items()} if s != scale else terms
+             for i, j, terms, s in brackets.values()}
+    algebra = LieAlgebra(StructureConstants.from_brackets(dim, table, scale), labels)
     report = algebra.validate()
     if not report.ok:
         raise InvalidAlgebraError(report)

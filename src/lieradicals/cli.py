@@ -117,7 +117,9 @@ def _dump_json(obj: dict) -> str:
             done[id(x)] = text
         return done[id(x)]
 
-    return render(obj) + "\n"
+    text = render(obj) + "\n"
+    del render  # it calls itself: break that cycle, so `done` goes now, not at the next gc
+    return text
 
 
 def _profile_text(L: LieAlgebra, prof: ProfileReport) -> str:

@@ -9,14 +9,14 @@ to a subalgebra, and quotients by ideals.
 `StructureConstants` holds the one copy of the constants: a sparse table of
 integers, ``adjoint[i][j] = {k: a^k_ij}`` with c^k_ij = a^k_ij / D for the
 common denominator D of all the constants.  Its constructor is the one place
-a table is normalised; it takes dense rows or sparse ``{k: value}`` ones (the
-parser's, and those `restrict` and `quotient` compute in integers), and
-`from_brackets` adds the reverse orientations.  `Fraction`s are made from the
-table only on request (`bracket_basis`, `pairs`).  Brackets of vectors, the
-Jacobi sums (term by term), the Killing Gram matrix
-K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory and
-Algorithms*, ch. 1) and the upper extension in `series` walk only its nonzero
-entries, so an abelian algebra costs next to nothing at any size.  Scaling by
+a table is normalised; it takes integer numerators over a common scale, as the
+parser, `restrict` and `quotient` make them (other rows are brought to that
+form first), and `from_brackets` adds the reverse orientations in the same
+pass.  `Fraction`s are made from the table only on request (`bracket_basis`,
+`pairs`).  Brackets of vectors, the Jacobi sums (term by term), the Killing
+Gram matrix K_ij = sum_{k,l} c^l_ik c^k_jl (de Graaf, *Lie Algebras: Theory
+and Algorithms*, ch. 1) and the upper extension in `series` walk only its
+nonzero entries, so an abelian algebra costs next to nothing at any size.  Scaling by
 D keeps antisymmetry, Jacobi, spans and kernels, so these and `Subspace` rows
 run on integers alone; `bracket` divides by D once, the Killing form by D².
 `validate` packs each row of the table into one integer, a slot of bits per
@@ -44,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, combination, dense, divided, frac, insert_row, sparse, vector
+from .linalg import Matrix, combination, dense, divided, insert_row, numerators, sparse, vector
 from .subspace import Subspace
 
 
@@ -76,58 +76,58 @@ class ValidationReport:
 class StructureConstants:
     """Sparse integer bracket table: [e_i, e_j] = sum_k (a^k_ij / D) e_k.
 
-    `denominator` is D, the lcm of the denominators of all the constants, and
-    ``adjoint[i][j] = {k: a^k_ij}`` holds only the nonzero integers D·c^k_ij;
-    both are read-only.  Both orientations of a pair are kept so lookups never
-    need sign fixing.  Use :meth:`from_brackets` for normal construction (one
-    orientation given, the other derived); the constructor wraps a raw table
-    of dense or ``{k: value}`` rows, possibly not antisymmetric, to validate.
+    `denominator` is D, the lcm of the reduced denominators of the constants,
+    and ``adjoint[i][j] = {k: a^k_ij}`` holds only the nonzero integers
+    D·c^k_ij; both are read-only, and both orientations of a pair are kept.
+    `table[(i, j)]` is s·[e_i, e_j], s = `scale`, as a dense or {k: int} row
+    (Fraction or str values are brought to ints over their lcm denominator
+    first), and D = s / gcd(s, every numerator).  :meth:`from_brackets` derives
+    the other orientation; the constructor alone wraps a raw table to validate.
     """
 
     __slots__ = ("dim", "denominator", "adjoint")
 
-    def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence | dict]):
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    def __init__(self, dim: int, table: Mapping[tuple[int, int], Sequence | dict],
+                 scale: int = 1, complete: bool = False):
+        rows = []
         for (i, j), v in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"basis index out of range in bracket ({i}, {j})")
             if not isinstance(v, dict):  # a dense coefficient sequence
-                if len(v := vector(v)) != dim:
+                if len(v := tuple(v)) != dim:
                     raise ValueError("bracket coefficient vector has wrong length")
                 v = dict(enumerate(v))
             elif v and (min(v) < 0 or max(v) >= dim):
                 raise ValueError(f"basis index out of range in bracket ({i}, {j})")
-            if row := {k: c for k, x in v.items() if (c := frac(x))}:
-                rows[(i, j)] = row
-        d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+            rows.append((i, j, v))
+        try:  # gcd takes ints alone: a Fraction or str value raises TypeError
+            g = gcd(scale, *(x for _, _, v in rows for x in v.values()))
+        except TypeError:  # all values as ints over the lcm e of their denominators
+            nums, e = numerators(vector(x for _, _, v in rows for x in v.values()))
+            nums = iter(nums)
+            table = {(i, j): {k: next(nums) for k in v} for i, j, v in rows}
+            return self.__init__(dim, table, scale * e, complete)
         adjoint: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for (i, j), row in rows.items():
-            adjoint[i][j] = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+        for i, j, v in rows:  # (i, j) may be held already, as the reverse of a given (j, i)
+            if (col := {k: x // g for k, x in v.items() if x}) and (
+                    got := adjoint[i].setdefault(j, col)) is not col and got != col:
+                raise ValueError(f"conflicting definitions for bracket ({min(i, j)}, {max(i, j)})")
+            if col and complete and i != j:
+                adjoint[j][i] = {k: -x for k, x in col.items()}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "denominator", scale // g)
         object.__setattr__(self, "adjoint", tuple(adjoint))
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("StructureConstants is immutable")
 
     @classmethod
-    def from_brackets(
-        cls, dim: int, brackets: Mapping[tuple[int, int], Sequence]
-    ) -> "StructureConstants":
-        """Build from one orientation per pair; the constructor's integer
-        table is completed by [e_j, e_i] = −[e_i, e_j].
-
-        Supplying both orientations with inconsistent values is an error;
-        consistent double definitions are accepted.  Nonzero diagonal entries
-        are stored as given so that validation can report them.
-        """
-        constants = cls(dim, brackets)
-        for i, row in enumerate(constants.adjoint):
-            for j, col in row.items():
-                neg = {k: -a for k, a in col.items()}
-                if i != j and constants.adjoint[j].setdefault(i, neg) != neg:
-                    raise ValueError(f"conflicting definitions for bracket ({i}, {j})")
-        return constants
+    def from_brackets(cls, dim: int, brackets: Mapping[tuple[int, int], Sequence],
+                      scale: int = 1) -> "StructureConstants":
+        """Build from one orientation per pair, [e_j, e_i] = −[e_i, e_j] derived; a
+        pair given in both orientations must agree.  Nonzero diagonal entries
+        are stored as given so that validation can report them."""
+        return cls(dim, brackets, scale, complete=True)
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coordinate vector of Fractions."""
@@ -530,9 +530,8 @@ class LieAlgebra:
                 if s._reduce(w):
                     raise NotClosedError("subspace is not closed under the bracket")
                 if p < q:
-                    table[(p, q)] = {index[c]: Fraction(v, scale) for c, v in w.items()
-                                     if c in index}
-        return self._child(LieAlgebra(StructureConstants.from_brackets(s.dim, table)))
+                    table[(p, q)] = {index[c]: v for c, v in w.items() if c in index}
+        return self._child(LieAlgebra(StructureConstants.from_brackets(s.dim, table, scale)))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
         """Map restricted coordinates back to ambient coordinates."""
@@ -562,10 +561,10 @@ class LieAlgebra:
         for i, row in enumerate(self.constants.adjoint):
             for j, col in row.items():
                 if i < j and i in index and j in index:  # the remainder holds only free keys
-                    table[(index[i], index[j])] = {index[c]: Fraction(x, scale)
+                    table[(index[i], index[j])] = {index[c]: x
                                                    for c, x in ideal._reduce(col).items()}
-        labels = tuple(self.labels[c] for c in free)
-        return self._child(LieAlgebra(StructureConstants.from_brackets(len(free), table), labels))
+        constants = StructureConstants.from_brackets(len(free), table, scale)
+        return self._child(LieAlgebra(constants, tuple(self.labels[c] for c in free)))
 
     def _child(self, child: "LieAlgebra") -> "LieAlgebra":
         """child, a quotient or subalgebra of this algebra, given this algebra's

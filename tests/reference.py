@@ -15,8 +15,9 @@ orientation per pair and by restriction through `Fraction` tables, and the
 descending series from the unbounded product, which brackets every pair of
 basis rows and forms [L, L] afresh in each series, and the `analyze --json`
 dict with its basis strings taken from the dense `Fraction` RREF rows, and
-the ordering key of subspaces read from the `Fraction` RREF matrix, kept as
-slow paths that the faster code is compared against entry by entry.  The
+the ordering key of subspaces read from the `Fraction` RREF matrix, and the
+text parser that read each coefficient through `Fraction`, kept as slow
+paths that the faster code is compared against entry by entry.  The
 dense `Fraction` matrix and vector arithmetic that only these slow paths and
 the tests use (`apply`, `trace`, `rank`, `zeros`, `vdot`, ...) are plain
 functions here, apart from `Matrix`.
@@ -24,9 +25,12 @@ functions here, apart from `Matrix`.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 
+from lieradicals.algfile import MAX_DIM, InvalidAlgebraError, ParseError
 from lieradicals.core import (
     LieAlgebra,
     NotAnIdealError,
@@ -627,3 +631,116 @@ def fraction_profile_json(L: LieAlgebra, prof: ProfileReport) -> dict:
         **{k: fraction_subspace_json(s) for k, s in prof.subspaces().items()},
         "flags": prof.flags(),
     }
+
+
+# -- the text format, read through Fraction --------------------------------------
+
+_DIM_RE = re.compile(r"dim\s+(\d+)$")
+_BASIS_RE = re.compile(r"basis\s+(.+)$")
+_BRACKET_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
+_TERM_RE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*e(\d+)$")
+
+
+def _numeral(text: str, lineno: int, kind=int):
+    """kind(text); a numeral past Python's int-string digit limit is a ParseError."""
+    try:
+        return kind(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number exceeds the limit of {limit} digits", lineno) from None
+
+
+def fraction_parse_algebra(text: str) -> LieAlgebra:
+    """`algfile.parse_algebra` reading each coefficient as an int or a `Fraction`
+    and building the table from those values.
+
+    Raises ParseError for malformed input and InvalidAlgebraError when the
+    bracket table fails validation.
+    """
+    dim: int | None = None
+    labels: tuple[str, ...] | None = None
+    brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}  # (i, j) -> {k: c^k_ij}
+    seen_pairs: set[tuple[int, int]] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+
+        if line.startswith("dim"):
+            m = _DIM_RE.fullmatch(line)
+            if m is None:
+                raise ParseError("malformed dim line", lineno)
+            if dim is not None:
+                raise ParseError("duplicate dim line", lineno)
+            digits = m.group(1).lstrip("0")
+            if len(digits) > len(str(MAX_DIM)) or int(digits or 0) > MAX_DIM:
+                raise ParseError(f"dim exceeds the limit of {MAX_DIM}", lineno)
+            dim = int(m.group(1))
+            continue
+
+        if line.startswith("basis"):
+            if dim is None:
+                raise ParseError("basis line before dim", lineno)
+            if labels is not None:
+                raise ParseError("duplicate basis line", lineno)
+            m = _BASIS_RE.fullmatch(line)
+            if m is None:
+                raise ParseError("malformed basis line", lineno)
+            names = tuple(m.group(1).split())
+            if len(names) != dim:
+                raise ParseError(
+                    f"basis needs exactly {dim} names, got {len(names)}", lineno
+                )
+            if len(set(names)) != len(names):
+                raise ParseError("basis names must be unique", lineno)
+            labels = names
+            continue
+
+        if line.startswith("["):
+            if dim is None:
+                raise ParseError("bracket line before dim", lineno)
+            m = _BRACKET_RE.fullmatch(line)
+            if m is None:
+                raise ParseError("malformed bracket line", lineno)
+            i, j = _numeral(m.group(1), lineno), _numeral(m.group(2), lineno)
+            if not (1 <= i <= dim and 1 <= j <= dim):
+                raise ParseError(f"bracket index out of range in [{i},{j}]", lineno)
+            key = (min(i, j), max(i, j))
+            if key in seen_pairs:
+                raise ParseError(
+                    f"bracket pair ({i},{j}) already defined "
+                    "(in this or the reversed orientation)",
+                    lineno,
+                )
+            seen_pairs.add(key)
+            rhs = m.group(3).strip()
+            terms: dict[int, int | Fraction] = {}  # repeated e_k add up; a zero sum is dropped
+            if rhs != "0":
+                for part in rhs.split("+"):
+                    t = _TERM_RE.fullmatch(part.strip())
+                    if t is None:
+                        raise ParseError(f"malformed term {part.strip()!r} in {rhs!r}", lineno)
+                    try:  # an integer skips Fraction's string parser
+                        coeff = _numeral(t.group(1), lineno, Fraction if "/" in part else int)
+                    except ZeroDivisionError:
+                        raise ParseError(
+                            f"zero denominator in {part.strip()!r}", lineno
+                        ) from None
+                    k = _numeral(t.group(2), lineno)
+                    if not (1 <= k <= dim):
+                        raise ParseError(f"basis index e{k} out of range", lineno)
+                    terms[k - 1] = terms[k - 1] + coeff if k - 1 in terms else coeff
+            brackets[(i - 1, j - 1)] = terms
+            continue
+
+        raise ParseError(f"unrecognized line {line!r}", lineno)
+
+    if dim is None:
+        raise ParseError("missing dim line")
+
+    algebra = LieAlgebra(StructureConstants.from_brackets(dim, brackets), labels)
+    report = algebra.validate()
+    if not report.ok:
+        raise InvalidAlgebraError(report)
+    return algebra

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -154,6 +155,23 @@ def test_dump_json_renders_one_list_object_at_two_depths(items, tree):
     shared = list(items)
     obj = {"a": shared, "b": [tree, {"c": shared, "d": [[shared], ()]}], "e": {}}
     assert cli._dump_json(obj) == _stdlib_dump(obj)
+
+
+def test_dump_json_leaves_no_reference_cycle(sl2):
+    """The renderer is a closure that calls itself, and the texts it made are
+    held by it; `_dump_json` breaks that cycle, so they are freed when it
+    returns, not whenever the cyclic collector next runs."""
+    obj = cli.profile_json(sl2, lieradicals.profile(sl2))
+    want = _stdlib_dump(obj)  # json's own encoder leaves cycles of its own
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert cli._dump_json(obj) == want
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("obj", [

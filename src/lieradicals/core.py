@@ -360,15 +360,19 @@ class LieAlgebra:
     def _brackets(self, a: Subspace, b: Subspace):
         """The nonzero D·[x, y] for basis rows x of a and y of b, formed lazily.  A row
         y of b meets only the rows of a with an entry at some i with [e_i, e_j] stored,
-        y_j ≠ 0; the other pairs bracket to zero.  `series` reads it up to a bound."""
+        y_j ≠ 0; the other pairs bracket to zero.  `series` reads it up to a bound.  In
+        a self-product [t, t] on a table that passes `validate`, row q meets only the
+        linked rows at p > q, as [y, x] = −[x, y] and [x, x] = 0; a raw table keeps both
+        orientations (`notes/decisions.md`, "Each self-product once")."""
         self._check_ambient(a, b)
-        by_right, holding = self._by_right, {}  # i -> the rows of a with an entry at i
-        for x in a.int_rows:
+        xs, by_right, holding = a.int_rows, self._by_right, {}  # i -> the p with xs[p][i] ≠ 0
+        for p, x in enumerate(xs):
             for i in x:
-                holding.setdefault(i, []).append(x)
-        return (w for y in b.int_rows  # with the rows of a linked to y, each once
-                for x in {id(r): r for j in y for i in by_right[j] for r in holding.get(i, ())}
-                .values() if (w := self._bracket(x, y)))
+                holding.setdefault(i, []).append(p)
+        once = a is b and self._validation.ok  # the cached `validate` report
+        return (w for q, y in enumerate(b.int_rows)  # with the rows of a linked to y, each once
+                for p in {p: 0 for j in y for i in by_right[j] for p in holding.get(i, ())}
+                if (p > q or not once) and (w := self._bracket(xs[p], y)))
 
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: iff every nonzero D·[e_g, r], g in G
@@ -518,15 +522,17 @@ class LieAlgebra:
 
         The new basis is s's RREF basis b_r.  For B_r = δ·b_r, D·[B_p, B_q] is
         D·δ²·[b_p, b_q]; its entries at the pivots over D·δ² are the constants.
-        Raises NotClosedError if [s, s] is not contained in s.
+        Raises NotClosedError if [s, s] is not contained in s.  A cached passing
+        `validate` report lets it form only p < q: [y, x] = −[x, y] and [x, x] = 0.
         """
         self._check_ambient(s)
         d, index = s._delta, {c: a for a, c in enumerate(s.pivots)}
         rows = [{k: (d // r[p]) * x for k, x in r.items()} for r, p in zip(s.int_rows, s.pivots)]
         scale, table = self.constants.denominator * d * d, {}
+        once = (report := self.__dict__.get("_validation")) is not None and report.ok
         for p, x in enumerate(rows):
-            for q, y in enumerate(rows):
-                w = self._bracket(x, y)
+            for q in range(p + 1 if once else 0, len(rows)):
+                w = self._bracket(x, rows[q])
                 if s._reduce(w):
                     raise NotClosedError("subspace is not closed under the bracket")
                 if p < q:

@@ -360,7 +360,7 @@ def checked_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
 
 def checked_is_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     _require_ideal(L, s)
-    return L.bracket_spaces(s, s) == s
+    return unbounded_product(L, s, s) == s
 
 
 def checked_is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
@@ -552,7 +552,7 @@ def fraction_restrict(L: LieAlgebra, s: Subspace) -> LieAlgebra:
     the `Fraction` coordinates of each bracket of RREF rows."""
     if s.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension disagrees with the algebra")
-    if not L.bracket_spaces(s, s).leq(s):
+    if not unbounded_product(L, s, s).leq(s):
         raise NotClosedError("subspace is not closed under the bracket")
     rows = s.rows()
     table = {}

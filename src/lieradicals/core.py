@@ -24,12 +24,14 @@ coordinate wide enough for every entry of a Jacobi sum (Kronecker
 substitution), so a term of a sum is one integer multiply-add; its report is
 cached on the algebra.
 
-A set G of basis vectors that generates L as a Lie algebra
-(`LieAlgebra._generators`, built when a step first needs it) stands in for
-the whole basis wherever a step brackets with all of L: the ideal test, the
-ideal closure, the lower central step and the upper extension in `series`.
-Those shortcuts rest on the Jacobi identity, so on a table that fails
-`validate` G is every index, which is the all-basis computation itself.
+Every structure step (brackets of subspaces, the ideal test and closure,
+`restrict`, `quotient` and the steps of `series`) takes a Lie algebra: on a
+table that fails `validate` it raises ValueError with the report's message.
+`validate`, `bracket`, `ad` and the Killing form read any table.  A set G of
+basis vectors that generates L as a Lie algebra (`LieAlgebra._generators`,
+built when a step first needs it) stands in for the whole basis wherever a
+step brackets with all of L: the ideal test, the ideal closure, the lower
+central step and the upper extension in `series`.
 
 Everything downstream assumes the rational field.  All the structure theory
 used here (Cartan's criteria, the radical formula, the series
@@ -261,8 +263,8 @@ class LieAlgebra:
 
         Returns the first violation found, in index order; violations are
         report data, not exceptions.  The report is computed once and cached
-        on the algebra; `quotient` and `restrict` hand a passing one on to
-        the algebra they build.  Checking Jacobi on basis triples
+        on the algebra; `quotient` and `restrict` hand it on to the algebra
+        they build.  Checking Jacobi on basis triples
         suffices by trilinearity.  Each stored row D·[e_a, e_b] is packed
         into one integer with a^k_ab in a slot of w bits at k, w chosen so
         that every entry of D²·J(i, j, k) fits a slot; a packed sum is then 0
@@ -314,6 +316,12 @@ class LieAlgebra:
             return ValidationReport(False, "jacobi", (i + 1, j + 1, k + 1), message)
         return ValidationReport(ok=True)
 
+    def _check_valid(self) -> None:
+        """The precondition of every structure step: ValueError with `validate`'s
+        message unless the table passes it (`notes/decisions.md`, "The validity gate")."""
+        if not (report := self._validation).ok:
+            raise ValueError(report.message)
+
     # -- vectors and spaces ----------------------------------------------------
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
@@ -359,44 +367,31 @@ class LieAlgebra:
 
     def _brackets(self, a: Subspace, b: Subspace):
         """The nonzero D·[x, y] for basis rows x of a and y of b, formed lazily.  A row
-        y of b meets only the rows of a with an entry at some i with [e_i, e_j] stored,
+        y of b meets only the rows of a with an entry at some i with [e_j, e_i] stored,
         y_j ≠ 0; the other pairs bracket to zero.  `series` reads it up to a bound.  In
-        a self-product [t, t] on a table that passes `validate`, row q meets only the
-        linked rows at p > q, as [y, x] = −[x, y] and [x, x] = 0; a raw table keeps both
-        orientations (`notes/decisions.md`, "Each self-product once")."""
+        a self-product [t, t], row q meets only the linked rows at p > q, as
+        [y, x] = −[x, y] and [x, x] = 0 (`notes/decisions.md`, "Each self-product once")."""
+        self._check_valid()
         self._check_ambient(a, b)
-        xs, by_right, holding = a.int_rows, self._by_right, {}  # i -> the p with xs[p][i] ≠ 0
+        xs, adj, holding = a.int_rows, self.constants.adjoint, {}  # i -> the p with xs[p][i] ≠ 0
         for p, x in enumerate(xs):
             for i in x:
                 holding.setdefault(i, []).append(p)
-        once = a is b and self._validation.ok  # the cached `validate` report
         return (w for q, y in enumerate(b.int_rows)  # with the rows of a linked to y, each once
-                for p in {p: 0 for j in y for i in by_right[j] for p in holding.get(i, ())}
-                if (p > q or not once) and (w := self._bracket(xs[p], y)))
+                for p in {p: 0 for j in y for i in adj[j] for p in holding.get(i, ())}
+                if (p > q or a is not b) and (w := self._bracket(xs[p], y)))
 
     def is_ideal(self, s: Subspace) -> bool:
         """True iff [L, s] is contained in s: iff every nonzero D·[e_g, r], g in G
         (`_generators`), for a basis row r of s reduces to zero modulo s."""
+        self._check_valid()
         self._check_ambient(s)
         return not any(s._reduce(b) for r in s.int_rows for b in self._basis_brackets(r))
-
-    @cached_property
-    def _by_right(self) -> tuple[dict[int, dict[int, int]], ...]:
-        """_by_right[j] = {i: adjoint[i][j]}: the stored D·[e_i, e_j] by their right
-        factor.  Read as it is, it needs no antisymmetry, which a raw table (and a
-        nonzero [e_i, e_i]) does not have."""
-        by_right: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        for i, row in enumerate(self.constants.adjoint):
-            for j, col in row.items():
-                by_right[j][i] = col
-        return tuple(by_right)
 
     @cached_property
     def _generators(self) -> tuple[int, ...]:
         """G, sorted: basis indices whose span, closed under ad e_g for g in G, is
         L, so G generates L (`notes/decisions.md`, "One Lie generating set").
-        The shortcuts G allows rest on the Jacobi identity, so on a table that
-        fails `validate` G is every index.
 
         One worklist pass: the candidates that occur in no stored bracket come
         first, then the rest in index order; e_c joins G when it is not in the
@@ -404,8 +399,6 @@ class LieAlgebra:
         bracketed with every g in G.  The row of e_c needs no brackets, since
         [e_g, e_c] = −[e_c, e_g] and e_g is in the span.  The pass stops at rank n."""
         n, adj = self.dim, self.constants.adjoint
-        if not self._validation.ok:
-            return tuple(range(n))
         seen = {k for row in adj for col in row.values() for k in col}  # in some bracket
         rows, added, gens = {}, [], []  # added: every row stored, spanning the table
         for c in [c for c in range(n) if c not in seen] + sorted(seen):
@@ -426,12 +419,12 @@ class LieAlgebra:
 
     @cached_property
     def _by_right_g(self) -> tuple[dict[int, dict[int, int]], ...]:
-        """_by_right with only the left factors in G: _by_right_g[j] = {g: D·[e_g, e_j]}."""
-        gens = set(self._generators)
-        if len(gens) == self.dim:
-            return self._by_right
-        return tuple({i: col for i, col in right.items() if i in gens}
-                     for right in self._by_right)
+        """The stored D·[e_g, e_j], g in G, by their right factor: _by_right_g[j] = {g: ...}."""
+        by_right: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for g in self._generators:
+            for j, col in self.constants.adjoint[g].items():
+                by_right[j][g] = col
+        return tuple(by_right)
 
     def _basis_brackets(self, u: dict) -> list[dict]:
         """The nonzero D·[e_g, u] = Σ_j u_j·D·[e_g, e_j] for g in G as {k: value},
@@ -454,6 +447,7 @@ class LieAlgebra:
         (`notes/decisions.md`).  Once the table has rank n its span is L, an
         ideal, and the loop stops.
         """
+        self._check_valid()
         n = self.dim
         rows, todo = {}, [sparse(v, n) for v in vectors]
         for w in todo:  # grows while it is walked: the brackets of each added row
@@ -522,21 +516,20 @@ class LieAlgebra:
 
         The new basis is s's RREF basis b_r.  For B_r = δ·b_r, D·[B_p, B_q] is
         D·δ²·[b_p, b_q]; its entries at the pivots over D·δ² are the constants.
-        Raises NotClosedError if [s, s] is not contained in s.  A cached passing
-        `validate` report lets it form only p < q: [y, x] = −[x, y] and [x, x] = 0.
+        Raises NotClosedError if [s, s] is not contained in s.  Only p < q is
+        formed: [y, x] = −[x, y] and [x, x] = 0.
         """
+        self._check_valid()
         self._check_ambient(s)
         d, index = s._delta, {c: a for a, c in enumerate(s.pivots)}
         rows = [{k: (d // r[p]) * x for k, x in r.items()} for r, p in zip(s.int_rows, s.pivots)]
         scale, table = self.constants.denominator * d * d, {}
-        once = (report := self.__dict__.get("_validation")) is not None and report.ok
         for p, x in enumerate(rows):
-            for q in range(p + 1 if once else 0, len(rows)):
+            for q in range(p + 1, len(rows)):
                 w = self._bracket(x, rows[q])
                 if s._reduce(w):
                     raise NotClosedError("subspace is not closed under the bracket")
-                if p < q:
-                    table[(p, q)] = {index[c]: v for c, v in w.items() if c in index}
+                table[(p, q)] = {index[c]: v for c, v in w.items() if c in index}
         return self._child(LieAlgebra(StructureConstants.from_brackets(s.dim, table, scale)))
 
     def embed(self, s: Subspace, coords: Sequence) -> tuple[Fraction, ...]:
@@ -573,8 +566,7 @@ class LieAlgebra:
         return self._child(LieAlgebra(constants, tuple(self.labels[c] for c in free)))
 
     def _child(self, child: "LieAlgebra") -> "LieAlgebra":
-        """child, a quotient or subalgebra of this algebra, given this algebra's
-        cached `validate` report if it passes: then both are Lie algebras."""
-        if (report := self.__dict__.get("_validation")) and report.ok:
-            child.__dict__["_validation"] = report
+        """child, a quotient or subalgebra of this Lie algebra, given its passing
+        `validate` report: a quotient or subalgebra of a Lie algebra is one."""
+        child.__dict__["_validation"] = self._validation
         return child

@@ -84,12 +84,11 @@ def iterate_series(
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
     """D(L) = [L, L], term 1 of both descending series: the span of the stored
-    brackets [e_i, e_j], read as they are, with no product formed.  On a table that
-    passes `validate`, antisymmetry gives [e_j, e_i] and [e_i, e_i] = 0 from the
-    pairs i < j, which alone are read; a raw table keeps both orientations."""
-    ok = L._validation.ok  # the cached `validate` report
+    brackets [e_i, e_j], i < j, with no product formed; antisymmetry gives
+    [e_j, e_i] and [e_i, e_i] = 0."""
+    L._check_valid()
     return Subspace.span((col for i, row in enumerate(L.constants.adjoint)
-                          for j, col in row.items() if i < j or not ok), L.dim, L.dim)
+                          for j, col in row.items() if i < j), L.dim, L.dim)
 
 
 def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace) -> SeriesReport:
@@ -110,9 +109,9 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
 
 
 def _extension_rows(ideal: Subspace, images):
-    """The rows of x -> [x, e_j] mod I, one e_j at a time: `images` gives each j's
-    {a: D·[v_a, e_j]} over the unknowns v_a, and the row of coordinate c holds c's
-    entry of `ideal._reduce` of each, δ·D·([v_a, e_j] mod I), zero at I's pivots;
+    """The rows of x -> [e_j, x] mod I, one e_j at a time: `images` gives each j's
+    {a: D·[e_j, v_a]} over the unknowns v_a, and the row of coordinate c holds c's
+    entry of `ideal._reduce` of each, δ·D·([e_j, v_a] mod I), zero at I's pivots;
     the common scalar δ·D leaves the kernel unchanged.  Rows that vanish are not built."""
     for cols in images:
         rows: dict[int, dict[int, int]] = {}
@@ -123,20 +122,20 @@ def _extension_rows(ideal: Subspace, images):
 
 
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """U(I) = {x : [x, e_g] lies in I for every g in G}: the kernel of
+    """U(I) = {x : [e_g, x] lies in I for every g in G}: the kernel of
     `_extension_rows` over the generators G of L (`LieAlgebra._generators`), whose
-    images are `L._by_right[g]`.  For an ideal I that is {x : [x, L] <= I}, since
-    {y : [x, y] in I} is then a subalgebra.  I <= U(I) exactly when [I, G] <= I,
-    the ideal test on a table that passes `validate` (on any other G is every
-    index and [I, L] <= I is the test); otherwise this raises NotAnIdealError.
+    images are the stored rows `adjoint[g]`.  For an ideal I that is
+    {x : [x, L] <= I}, since {y : [x, y] in I} is then a subalgebra.  I <= U(I)
+    exactly when [G, I] <= I, the ideal test; otherwise this raises NotAnIdealError.
     U(I) is again an ideal.  The rows of an ideal have rank n − dim U(I) <= n − dim I,
     so the elimination stops there; then I <= U(I) iff I is the kernel so far and
     the rows left vanish on I's basis, and for I = 0, with no basis row, none is
     formed (`notes/decisions.md`, "The upper central series stops too")."""
+    L._check_valid()
     L._check_ambient(ideal)
     if ideal.is_full():
         return ideal
-    rows = _extension_rows(ideal, (L._by_right[g] for g in L._generators))
+    rows = _extension_rows(ideal, (L.constants.adjoint[g] for g in L._generators))
     u = Subspace.span(rows, L.dim, L.dim - ideal.dim).annihilator()
     if not ideal.leq(u) or not ideal.is_zero() and any(
             sum(x * b[i] for i, x in r.items() if i in b) for r in rows for b in ideal.int_rows):
@@ -145,16 +144,16 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
 
 
 def _center_in(L: LieAlgebra, rad: Subspace) -> Subspace:
-    """Z(L), solved over the rows R_a of rad = R(L) as unknowns, with [x, e_g] = 0
+    """Z(L), solved over the rows R_a of rad = R(L) as unknowns, with [e_g, x] = 0
     for g in G.  A central x has ad x = 0, so K(x, ·) = 0 and x lies in
-    L^⊥ <= D(L)^⊥ = R on any table.  With no unknown (R = 0) there is no row,
+    L^⊥ <= D(L)^⊥ = R.  With no unknown (R = 0) there is no row,
     and G is not built."""
     if rad.is_full():  # the unknowns are the standard basis: U(0) itself
         return upper_extension(L, L.zero_space())
     gens = L._generators if rad.dim else ()
-    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[R_a, e_g], summed over R_a's i
-               if (w := combination((x, right[i]) for i, x in r.items() if i in right))}
-              for right in (L._by_right[g] for g in gens))
+    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[e_g, R_a], summed over R_a's i
+               if (w := combination((x, row[i]) for i, x in r.items() if i in row))}
+              for row in (L.constants.adjoint[g] for g in gens))
     coeffs = Subspace.span(_extension_rows(L.zero_space(), images), rad.dim, rad.dim).annihilator()
     return Subspace.span([combination((y, rad.int_rows[a]) for a, y in c.items())
                           for c in coeffs.int_rows], L.dim)
@@ -248,6 +247,7 @@ def is_near_perfect_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """Ideal with [L, s] = s.  The D·[e_g, r], g in G, over s's basis rows r span
     [L, s] for an ideal s; they are formed once, for the ideal test (each reduces
     to zero mod s) and for the span, which s then bounds."""
+    L._check_valid()
     L._check_ambient(s)
     brackets = [b for r in s.int_rows for b in L._basis_brackets(r)]
     if any(s._reduce(b) for b in brackets):

@@ -329,8 +329,7 @@ def naive_is_ideal(L: LieAlgebra, s: Subspace) -> bool:
 
 def dense_upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     """Kernel of the stacked maps proj @ R_j, one block per basis vector, for R_j the
-    dense matrix of x -> [x, e_j]: its column i is [e_i, e_j], read from the table as
-    stored, so on an antisymmetric table R_j = −ad(e_j)."""
+    dense matrix of x -> [x, e_j]: its column i is [e_i, e_j], so R_j = −ad(e_j)."""
     n, proj = L.dim, fraction_projection(ideal)
     blocks = [proj @ Matrix.from_rows(zip(*(L.constants.bracket_basis(i, j) for i in range(n))), n)
               for j in range(n)]

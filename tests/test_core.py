@@ -11,8 +11,10 @@ from lieradicals.core import (
     StructureConstants,
 )
 from lieradicals.linalg import Matrix
+from lieradicals.oracle import random_ideal, verify_theorems
+from lieradicals.series import center, derived_subalgebra, profile, upper_extension
 from lieradicals.subspace import Subspace
-from reference import apply, is_zero_vector, vadd, zeros
+from reference import apply, dense_killing, is_zero_vector, vadd, zeros
 
 F = Fraction
 
@@ -190,17 +192,56 @@ def test_ideal_closure_of_y(s32):
     assert s32.ideal_closure([(0, 1, 0)]) == span(3, (1, 0, 0), (0, 1, 0))
 
 
-def test_brackets_of_a_raw_table_read_the_stored_orientation():
-    """A raw table need not be antisymmetric: here only [e2, e3] is stored, and
-    [e3, e3] is nonzero.  Brackets are read as stored, never as −[e_j, e_i]."""
-    L = LieAlgebra(StructureConstants(3, {(1, 2): (0, F(-1, 2), F(2, 3)),
-                                          (2, 2): (0, 0, F(-3, 4))}))
-    s = span(3, (1, 1, 0), (0, 0, 1))
-    assert L.bracket_spaces(s, s) == span(3, (0, 1, 0), (0, 0, 1))
-    assert L.bracket_spaces(span(3, (0, 0, 1)), s) == span(3, (0, 0, 1))
-    assert L.ideal_closure([(0, 0, 1)]) == span(3, (0, 1, 0), (0, 0, 1))
-    assert not L.is_ideal(span(3, (0, 0, 1)))
-    assert L.is_ideal(span(3, (0, 1, 0), (0, 0, 1)))
+def _failing_tables() -> list[LieAlgebra]:
+    """A one-sided table, [e2, e3] stored without [e3, e2] and a nonzero [e3, e3],
+    and an antisymmetric one on which Jacobi fails at (e1, e2, e3)."""
+    return [LieAlgebra(StructureConstants(3, {(1, 2): (0, F(-1, 2), F(2, 3)),
+                                              (2, 2): (0, 0, F(-3, 4))})),
+            LieAlgebra.from_brackets(3, {(0, 1): (0, 1, 0), (1, 2): (1, 0, 0)})]
+
+
+STRUCTURE_STEPS = {
+    "bracket_spaces": lambda L, s: L.bracket_spaces(s, s),
+    "is_ideal": LieAlgebra.is_ideal,
+    "ideal_closure": lambda L, s: L.ideal_closure(s.int_rows),
+    "restrict": LieAlgebra.restrict,
+    "quotient": LieAlgebra.quotient,
+    "derived_subalgebra": lambda L, s: derived_subalgebra(L),
+    "upper_extension": upper_extension,
+    "center": lambda L, s: center(L),
+    "profile": lambda L, s: profile(L),
+    "verify_theorems": lambda L, s: verify_theorems(L, samples=1),
+    "random_ideal": lambda L, s: random_ideal(L, 0),
+}
+
+
+@pytest.mark.parametrize("space", ["zero", "full", "line"])
+@pytest.mark.parametrize("step", STRUCTURE_STEPS)
+def test_structure_steps_refuse_a_table_that_fails_validate(step, space):
+    """Every structure step takes a Lie algebra: on a table that fails `validate`
+    it raises ValueError with the report's message, before any early return."""
+    for L in _failing_tables():
+        s = {"zero": L.zero_space(), "full": L.full_space(), "line": span(3, (0, 0, 1))}[space]
+        with pytest.raises(ValueError) as raised:
+            STRUCTURE_STEPS[step](L, s)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == L.validate().message
+        assert "_generators" not in L.__dict__
+
+
+def test_validate_bracket_ad_and_killing_form_read_a_table_that_fails_validate():
+    """The axiom check and the bracket, adjoint and Killing arithmetic read any table."""
+    L = _failing_tables()[0]
+    assert L.validate().kind == "antisymmetry"
+    z = (0, 0, 1)
+    assert L.bracket(z, z) == (0, 0, F(-3, 4))
+    assert L.bracket((0, 1, 0), z) == (0, F(-1, 2), F(2, 3))
+    assert L.bracket(z, (0, 1, 0)) == (0, 0, 0)
+    assert L.ad(z) == Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, F(-3, 4)]])
+    assert L.killing_matrix() == dense_killing(L) == Matrix.from_rows(
+        [[0, 0, 0], [0, F(4, 9), F(-1, 2)], [0, F(-1, 2), F(9, 16)]])
+    assert L.killing_form(z, z) == F(9, 16)
+    assert L.killing_orthogonal(span(3, z)) == span(3, (1, 0, 0), (0, 9, 8))
 
 
 def test_ideal_closure_empty(s32):

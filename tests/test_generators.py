@@ -3,23 +3,22 @@ with it instead of the whole basis.
 
 G is checked apart from the package: the span of its basis vectors, closed
 under ad e_g for g in G by `reference.unbounded_product` (which sums every
-bracket itself), must be L.  On a table that fails `validate`, G is every
-index.  Every step that reads G is compared with its all-basis reference,
+bracket itself), must be L.  A table that fails `validate` is refused before
+G is built.  Every step that reads G is compared with its all-basis reference,
 term by term: D(L) and the lower central series with `reference`'s unbounded
 products, each upper extension of the upper central series with
 `reference.dense_upper_extension`, and `is_ideal`, `ideal_closure` and the
 ideal predicates with `reference`'s versions, which bracket with every e_i.
 The inputs are catalog and random-corpus algebras in their own and a rational
-basis and random raw tables.  A quotient or subalgebra takes over its parent's
-cached report only when it passes.  The sizes of G that the upper extension's
-gain rests on are pinned on matrix-unit n5 and rational sl3, gl3 and n5, and
-sl3, whose profile needs no G, builds none.
+basis.  A quotient or subalgebra takes over its parent's passing report.  The
+sizes of G that the upper extension's gain rests on are pinned on matrix-unit
+n5 and rational sl3, gl3 and n5, and sl3, whose profile needs no G, builds none.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -43,29 +42,16 @@ from lieradicals.subspace import Subspace
 
 import reference
 
-VALUES = (0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3))
-
-
-def _raw_table(rng: random.Random) -> LieAlgebra:
-    """A random table of ordered pairs, the diagonal included; most fail an axiom."""
-    dim = rng.randint(1, 6)
-    table = {(rng.randrange(dim), rng.randrange(dim)): [rng.choice(VALUES) for _ in range(dim)]
-             for _ in range(rng.randint(0, 8))}
-    return LieAlgebra(StructureConstants(dim, table))
-
 
 def _algebra(seed: int, k: int, basis: str) -> LieAlgebra:
-    """Catalog entry or random-corpus algebra k in its own or the rational basis,
-    or a random raw table."""
-    if basis == "raw":
-        return _raw_table(random.Random(seed))
+    """Catalog entry or random-corpus algebra k in its own or the rational basis."""
     names = catalog.names()
     L = (catalog.get(names[k]).algebra if k < len(names)
          else random_algebras(k - len(names) + 1, 4, seed)[-1])
     return reference.rebase(L) if basis == "rational" else L
 
 
-INPUTS = (st.integers(0, 2**32), st.integers(0, 14), st.sampled_from(("own", "rational", "raw")))
+INPUTS = (st.integers(0, 2**32), st.integers(0, 14), st.sampled_from(("own", "rational")))
 
 
 def _ad_closure(L: LieAlgebra, gens) -> Subspace:
@@ -95,10 +81,7 @@ def _outcome(f, *args):
 def _check_generators(L: LieAlgebra) -> None:
     gens = L._generators
     assert list(gens) == sorted(set(gens))
-    if L.validate().ok:
-        assert _ad_closure(L, gens) == L.full_space()
-    else:
-        assert gens == tuple(range(L.dim))
+    assert _ad_closure(L, gens) == L.full_space()
 
 
 def _check_steps(L: LieAlgebra, rng: random.Random) -> None:
@@ -114,9 +97,8 @@ def _check_steps(L: LieAlgebra, rng: random.Random) -> None:
         assert L.is_ideal(s) == reference.naive_is_ideal(L, s)
         assert L.ideal_closure(s.int_rows) == reference.naive_ideal_closure(L, s.int_rows)
         checks = [(is_perfect_ideal, reference.checked_is_perfect_ideal),
-                  (is_near_perfect_ideal, reference.checked_is_near_perfect_ideal)]
-        if L.validate().kind != "antisymmetry":  # else [s, L] <= s is not the ideal test
-            checks.append((is_upper_bounded_ideal, reference.checked_is_upper_bounded_ideal))
+                  (is_near_perfect_ideal, reference.checked_is_near_perfect_ideal),
+                  (is_upper_bounded_ideal, reference.checked_is_upper_bounded_ideal)]
         for got, want in checks:
             assert _outcome(got, L, s) == _outcome(want, L, s)
 
@@ -137,21 +119,26 @@ def test_generators_close_to_L_and_steps_match_on_matrix_units(name):
     _check_steps(L, random.Random(name))
 
 
-def test_a_table_that_fails_validation_brackets_with_every_index():
-    """A one-sided table: [e1, e2] = e3 stored without [e2, e1]."""
-    L = LieAlgebra(StructureConstants(3, {(0, 1): [0, 0, 1]}))
-    assert L.validate().kind == "antisymmetry"
-    assert L._generators == (0, 1, 2)
-    assert derived_subalgebra(L) == Subspace.span([[0, 0, 1]], 3)
+def test_a_table_that_fails_validation_builds_no_generators():
+    """A one-sided table, [e1, e2] = e3 stored without [e2, e1], and a table on which
+    Jacobi fails: every step that reads G refuses it first, and G is never built."""
+    for L in (LieAlgebra(StructureConstants(3, {(0, 1): [0, 0, 1]})),
+              LieAlgebra.from_brackets(3, {(0, 1): (0, 1, 0), (1, 2): (1, 0, 0)})):
+        s = Subspace.span([[0, 0, 1]], 3)
+        for step in (L.is_ideal, L.quotient, lambda s: L.ideal_closure(s.int_rows),
+                     lambda s: lower_central_series(L), lambda s: upper_extension(L, s),
+                     lambda s: is_near_perfect_ideal(L, s)):
+            with pytest.raises(ValueError, match=re.escape(L.validate().message)):
+                step(s)
+        assert "_generators" not in L.__dict__ and "_by_right_g" not in L.__dict__
 
 
 @settings(max_examples=100, deadline=None)
 @given(*INPUTS)
 def test_children_take_over_only_a_passing_report(seed, k, basis):
-    """`quotient` and `restrict` by an ideal: a validated parent's passing report
-    is the child's, and it is the child's own verdict too; a failing one is not
-    handed on, and the child validates itself.  `restrict` of a parent never
-    validated hands on nothing."""
+    """`quotient` and `restrict` by an ideal: the parent's passing report is the
+    child's, and it is the child's own verdict too.  A parent never validated
+    computes its report at the gate and hands that on."""
     L = _algebra(seed, k, basis)
     report = L.validate()
     spans = [L.zero_space(), L.full_space(), derived_subalgebra(L)] + _spans(random.Random(seed), L)
@@ -159,15 +146,10 @@ def test_children_take_over_only_a_passing_report(seed, k, basis):
         if not L.is_ideal(s):
             continue
         for child in (L.quotient(s), L.restrict(s)):
-            inherited = child.__dict__.get("_validation")
-            if report.ok:
-                assert inherited is report
-                assert reference.triple_validate(child).ok
-            else:
-                assert inherited is None
-                assert child.validate() == reference.triple_validate(child)
-        uncached = LieAlgebra(L.constants, L.labels).restrict(s)
-        assert "_validation" not in uncached.__dict__
+            assert child.__dict__["_validation"] is report
+            assert reference.triple_validate(child).ok
+        fresh = LieAlgebra(L.constants, L.labels)
+        assert fresh.restrict(s).__dict__["_validation"] is fresh.__dict__["_validation"]
 
 
 @pytest.mark.parametrize("name,gens", [

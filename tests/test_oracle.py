@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ import lieradicals.oracle as oracle
 from lieradicals import catalog, series
 from lieradicals.algfile import render_algebra
 from lieradicals.cli import main
-from lieradicals.core import LieAlgebra, NotAnIdealError, StructureConstants
+from lieradicals.core import NotAnIdealError
 from lieradicals.oracle import (
     MAX_SAMPLES,
     PROPOSITION_IDS,
@@ -320,20 +319,12 @@ def test_perfect_filtered_from_near_perfect_equals_perfect_over_the_pool(name, L
     assert ctx.upper_bounded == tuple(i for i in pool if series.is_upper_bounded_ideal(L, i))
 
 
-#: Catalog and random-corpus algebras, each in its own or the rational basis, and
-#: raw one-sided tables with denominators, whose [e_i, e_i] need not vanish.
-KEY_INPUTS = st.one_of(
-    st.builds(lambda L, rational: reference.rebase(L) if rational else L,
-              st.one_of(st.sampled_from([e.algebra for e in catalog.entries()]),
-                        st.builds(lambda seed, k: random_algebras(k + 1, 4, seed)[k],
-                                  st.integers(0, 2**32), st.integers(0, 9))),
-              st.booleans()),
-    st.integers(1, 5).flatmap(lambda n: st.dictionaries(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        st.lists(st.sampled_from((0, 0, 1, -1, Fraction(-1, 2), Fraction(2, 3))),
-                 min_size=n, max_size=n), max_size=8)
-        .map(lambda table: LieAlgebra(StructureConstants(n, table)))),
-)
+#: Catalog and random-corpus algebras, each in its own or the rational basis.
+KEY_INPUTS = st.builds(lambda L, rational: reference.rebase(L) if rational else L,
+                       st.one_of(st.sampled_from([e.algebra for e in catalog.entries()]),
+                                 st.builds(lambda seed, k: random_algebras(k + 1, 4, seed)[k],
+                                           st.integers(0, 2**32), st.integers(0, 9))),
+                       st.booleans())
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,25 +1,25 @@
 """Each self-product once: `LieAlgebra._brackets(t, t)` and `restrict`.
 
-On a table that passes `validate`, antisymmetry gives [y, x] = −[x, y] and
-[x, x] = 0, so `_brackets(t, t)` calls `_bracket` once per unordered linked
-pair of t's basis rows, the later row p against the earlier row q.  Each call
-is counted by a wrapper over `LieAlgebra._bracket` and compared with the pairs
-read off the table, on the catalog, matrix-unit families in a rational basis
-and `random_algebras`; the product spans `reference.unbounded_product`.  A raw
-table that fails `validate` keeps both orientations and [x, x].  The derived
-series and `is_perfect_ideal`, which read `_brackets(t, t)`, are compared term
-by term and verdict by verdict with their unbounded references.  `restrict`
-forms the pairs p < q alone under a cached passing report and every (p, q)
-otherwise, and raises `NotClosedError` on a subspace that is not closed either
-way.  The pair order is pinned by counts: matrix-unit gl8 and gl12 `profile`
-call `_bracket` no more often than with both orientations formed (124 and 284
-times once G and the report are cached); pairing row q with the rows p < q
-instead took 414 and 1508.
+Antisymmetry gives [y, x] = −[x, y] and [x, x] = 0, so `_brackets(t, t)` calls
+`_bracket` once per unordered linked pair of t's basis rows, the later row p
+against the earlier row q.  Each call is counted by a wrapper over
+`LieAlgebra._bracket` and compared with the pairs read off the table, on the
+catalog, matrix-unit families in a rational basis and `random_algebras`; the
+product spans `reference.unbounded_product`.  A table that fails `validate` is
+refused before any bracket is formed.  The derived series and
+`is_perfect_ideal`, which read `_brackets(t, t)`, are compared term by term and
+verdict by verdict with their unbounded references.  `restrict` forms the pairs
+p < q alone, a parent never validated included, and raises `NotClosedError` on
+a subspace that is not closed.  The pair order is pinned by counts: matrix-unit
+gl8 and gl12 `profile` call `_bracket` no more often than with both
+orientations formed (124 and 284 times once G and the report are cached);
+pairing row q with the rows p < q instead took 414 and 1508.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -90,11 +90,11 @@ def _spaces(L: LieAlgebra, rng: random.Random) -> list[Subspace]:
     return list(derived_series(L).terms + lower_central_series(L).terms) + spans
 
 
-def _check_self_product(L: LieAlgebra, t: Subspace, once: bool) -> None:
+def _check_self_product(L: LieAlgebra, t: Subspace) -> None:
     got, calls = _counted(lambda: list(L._brackets(t, t)))
     rows = t.int_rows
-    want = sorted((p, q) for p in range(len(rows)) for q in range(len(rows))
-                  if (p > q or not once) and _linked(L, rows[p], rows[q]))
+    want = sorted((p, q) for p in range(len(rows)) for q in range(p)
+                  if _linked(L, rows[p], rows[q]))
     assert _pairs(t, calls) == want
     assert Subspace.span(got, L.dim) == reference.unbounded_product(L, t, t)
 
@@ -104,35 +104,78 @@ def test_a_validated_self_product_forms_each_unordered_linked_pair_once(k):
     L = _corpus()[k]
     assert L.validate().ok
     for t in _spaces(L, random.Random(k)):
-        _check_self_product(L, t, once=True)
+        _check_self_product(L, t)
+
+
+def _refused(L: LieAlgebra, *steps) -> None:
+    """Each step raises `ValueError` with L's failing report message, and no
+    `_bracket` call is made."""
+    report = L.validate()
+    assert not report.ok
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LieAlgebra, "_bracket", lambda self, x, y: calls.append((x, y)))
+        for step in steps:
+            with pytest.raises(ValueError, match=re.escape(report.message)):
+                step()
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
-def test_a_table_that_fails_validate_forms_both_orientations(seed):
-    """Random tables of ordered pairs, the diagonal included."""
+def test_a_table_that_fails_validate_forms_no_bracket(seed):
+    """Random tables of ordered pairs, the diagonal included: one that fails
+    `validate` is refused, with its message, by the self-product, `restrict` and
+    the derived series before any `_bracket` call.  Among the tables are
+    one-sided ones and those failing Jacobi alone."""
     rng = random.Random(seed)
     dim = rng.randint(1, 5)
     table = {(rng.randrange(dim), rng.randrange(dim)): [rng.choice(VALUES) for _ in range(dim)]
              for _ in range(rng.randint(1, 8))}
-    L = LieAlgebra(StructureConstants(dim, table))
-    if L.validate().ok:
-        return
-    for t in [L.full_space()] + _spaces(L, rng):
-        _check_self_product(L, t, once=False)
+    for L in (LieAlgebra(StructureConstants(dim, table)), _completed(dim, table)):
+        if L is None or L.validate().ok:
+            continue
+        full = L.full_space()
+        _refused(L, lambda: list(L._brackets(full, full)), lambda: L.restrict(full),
+                 lambda: derived_series(L))
 
 
-def test_a_self_product_on_a_one_sided_table_forms_both_orientations():
-    """[e1, e2] = e3 stored without [e2, e1]: [e2, e1] = 0 is formed too."""
+def test_a_self_product_on_a_one_sided_table_forms_no_bracket():
+    """[e1, e2] = e3 stored without [e2, e1] fails antisymmetry, and so does the
+    table storing both orientations with one sign: the self-product refuses
+    each.  Completed by `from_brackets`, [e2, e1] = −e3 is read off `adjoint`
+    and the one linked pair is formed once."""
     L = LieAlgebra(StructureConstants(3, {(0, 1): [0, 0, 1]}))
     assert L.validate().kind == "antisymmetry"
     full = L.full_space()
-    _, calls = _counted(lambda: list(L._brackets(full, full)))
-    assert _pairs(full, calls) == [(0, 1)]  # [e2, e1] is not stored: e1 meets no row
+    _refused(L, lambda: list(L._brackets(full, full)))
     L = LieAlgebra(StructureConstants(3, {(0, 1): [0, 0, 1], (1, 0): [0, 0, 1]}))
-    assert not L.validate().ok
-    _, calls = _counted(lambda: list(L._brackets(full, full)))
-    assert _pairs(full, calls) == [(0, 1), (1, 0)]
+    assert L.validate().kind == "antisymmetry"
+    _refused(L, lambda: list(L._brackets(full, full)))
+    L = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
+    assert L.validate().ok
+    got, calls = _counted(lambda: list(L._brackets(full, full)))
+    assert _pairs(full, calls) == [(1, 0)]
+    assert Subspace.span(got, 3) == Subspace.span([[0, 0, 1]], 3)
+
+
+def test_restrict_of_a_table_that_fails_validate_forms_no_pair():
+    """Jacobi fails on (e1, e2, e3): `restrict` raises `ValueError` with the
+    report's message before forming any pair, on a subspace that is not closed
+    too, where `NotClosedError` would be its verdict on a Lie algebra."""
+    L = LieAlgebra.from_brackets(3, {(0, 1): (0, 1, 0), (1, 2): (1, 0, 0)})
+    assert L.validate().kind == "jacobi"
+    _refused(L, lambda: L.restrict(L.full_space()),
+             lambda: L.restrict(Subspace.span([[0, 1, 0], [0, 0, 1]], 3)))
+
+
+def _completed(dim: int, table) -> LieAlgebra | None:
+    """The table with its reverse orientations added, or None if it gives a
+    pair both ways, inconsistently."""
+    try:
+        return LieAlgebra.from_brackets(dim, table)
+    except ValueError:
+        return None
 
 
 def _verdict(f, *args):
@@ -163,37 +206,25 @@ def _closed(L: LieAlgebra, s: Subspace) -> bool:
 
 @pytest.mark.parametrize("k", CORPUS)
 def test_restrict_forms_each_pair_once_only_under_a_cached_passing_report(k):
-    """A validated parent forms p < q; one never validated forms every (p, q),
-    computes no report, and builds the same algebra."""
+    """`restrict` forms p < q alone.  A parent never validated computes its report
+    at the gate, caches it, hands it on and builds the same algebra."""
     L = _corpus()[k]
     L.validate()
     for s in _spaces(L, random.Random(k)):
-        raw = LieAlgebra(L.constants, L.labels)
+        fresh = LieAlgebra(L.constants, L.labels)
         if not _closed(L, s):
             with pytest.raises(NotClosedError):
                 L.restrict(s)
             with pytest.raises(NotClosedError):
-                raw.restrict(s)
+                fresh.restrict(s)
             continue
         sub, calls = _counted(L.restrict, s)
         assert len(calls) == s.dim * (s.dim - 1) // 2
         assert sub == reference.fraction_restrict(L, s)
-        again, calls = _counted(raw.restrict, s)
-        assert len(calls) == s.dim * s.dim
+        again, calls = _counted(fresh.restrict, s)
+        assert len(calls) == s.dim * (s.dim - 1) // 2
         assert again == sub
-        assert "_validation" not in raw.__dict__
-
-
-def test_restrict_of_a_table_that_fails_validate_forms_every_pair():
-    """Jacobi fails on (e1, e2, e3), and the failing report is cached: every
-    (p, q) is formed, and a subspace that is not closed still raises."""
-    L = LieAlgebra.from_brackets(3, {(0, 1): (0, 1, 0), (1, 2): (1, 0, 0)})
-    assert L.validate().kind == "jacobi"
-    full = L.full_space()
-    _, calls = _counted(L.restrict, full)
-    assert len(calls) == 9
-    with pytest.raises(NotClosedError):
-        L.restrict(Subspace.span([[0, 1, 0], [0, 0, 1]], 3))
+        assert again.validate() is fresh.__dict__["_validation"]
 
 
 @pytest.mark.parametrize("name,most", [("gl8", 124), ("gl12", 284)])

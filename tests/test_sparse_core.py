@@ -27,19 +27,20 @@ and random-corpus algebras in their own and a rational basis: equal
 results, or `NotAnIdealError` from both, and `upper_extension` raises
 exactly when `is_ideal` is False.  `is_perfect_ideal` and
 `is_near_perfect_ideal`, whose products stop at s once s passed the ideal test,
-are compared with theirs on seeded and random raw one-sided tables too.
+are compared with theirs on lines and wide spans of catalog, random-corpus and
+matrix-unit algebras too.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
 It forms its rows one e_j at a time and stops eliminating at rank n − dim s,
 then tests the rows left on s's basis; it is compared with
 `reference.dense_upper_extension`, the dense matrices of x -> [x, e_j] read
-from the table as stored, and on antisymmetric tables with
-`reference.checked_upper_extension`, on seeded raw one-sided tables, among
-them non-ideals that only the test after the stop rejects, and under
-hypothesis on random ones.  `profile`, which solves the center inside R(L),
-is compared with `upper_central_series` and with the series of a reference
-extension on the inputs above, on gl8, n14, b12 and sl6, and under hypothesis
-on random-corpus algebras and raw tables; a monkeypatched `insert_row` shows
+from the table, and with `reference.checked_upper_extension`, on wide and
+short spans of the catalog, random-corpus and matrix-unit algebras, among them
+non-ideals that the kernel test rejects and non-ideals that only the test
+after the stop rejects, and under hypothesis on random ones.  `profile`, which
+solves the center inside R(L), is compared with `upper_central_series` and
+with the series of a reference extension on the inputs above, on gl8, n14,
+b12 and sl6, and under hypothesis on random-corpus algebras; a monkeypatched `insert_row` shows
 that sl3's center stores no row and that gl4's stabilizing step stops at
 rank 15, and a monkeypatched `_extension_rows` that `upper_extension(L, 0)`,
 the center when R(L) = L, forms no row after its stop.
@@ -50,7 +51,7 @@ the term that bounds them, are compared term by term with
 and forms [L, L] afresh, and the whole `profile` with
 `reference.unbounded_profile`: on the matrix-unit ladder up to gl8 and n14
 and, under hypothesis, on random-corpus algebras in their own and a rational
-basis and on random raw tables.  A monkeypatched `insert_row` shows that the
+basis.  A monkeypatched `insert_row` shows that the
 stabilizing steps insert no row once their table has the bound's rank, and
 that `profile` forms D(L) once, from the stored brackets, with no product.
 `is_near_perfect_ideal`, which reduces every bracket [e_g, r] modulo s before
@@ -79,7 +80,7 @@ builds a subspace reported twice once, is compared with
 `reference.fraction_profile_json`, which stringifies the dense `Fraction`
 RREF rows of every report, on the inputs above (gl4's radical and center are
 equal, distinct objects) and, under hypothesis, on random-corpus algebras in
-their own and a rational basis and on random raw tables; its rendering is
+their own and a rational basis; its rendering is
 compared with `json.dumps(..., indent=2)` of the reference dict.
 
 `validate` and `reference.dense_validate` read the same integer table, so the
@@ -222,18 +223,14 @@ def test_restrict_matches_fraction_coordinates(name, L):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own", "rational", "raw")),
-       st.data())
-def test_restrict_matches_fraction_coordinates_on_random_spans(seed, k, basis, data):
+@given(st.integers(0, 2**32), st.integers(0, 9), st.booleans(), st.data())
+def test_restrict_matches_fraction_coordinates_on_random_spans(seed, k, rational, data):
     """Spans of 1 to 3 int or Fraction vectors, and the ideals they generate, in
-    a random-corpus algebra, its rational basis, or a random raw table whose
-    [x, x] need not vanish; NotClosedError exactly when the reference raises it."""
+    a random-corpus algebra or its rational basis; NotClosedError exactly when
+    the reference raises it."""
     L = random_algebras(k + 1, 4, seed)[k]
-    if basis == "rational":
+    if rational:
         L = reference.rebase(L)
-    elif basis == "raw":
-        dim, table = next(_random_tables(1, seed, RATIONAL_VALUES))
-        L = LieAlgebra(StructureConstants(dim, table))
     entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(2, 3)))
     vecs = data.draw(st.lists(st.lists(entry, min_size=L.dim, max_size=L.dim),
                               min_size=1, max_size=3))
@@ -491,23 +488,18 @@ def test_descending_series_match_unbounded_products_on_the_ladder(name):
 
 
 def _random_algebra(seed: int, k: int, basis: str) -> LieAlgebra:
-    """Random-corpus algebra k in its own or the rational basis, or a random raw table."""
-    if basis == "raw":
-        return LieAlgebra(StructureConstants(*next(_random_tables(1, seed, RATIONAL_VALUES))))
+    """Random-corpus algebra k in its own or the rational basis."""
     L = random_algebras(k + 1, 4, seed)[k]
     return reference.rebase(L) if basis == "rational" else L
 
 
-RANDOM_INPUTS = (st.integers(0, 2**32), st.integers(0, 9),
-                 st.sampled_from(("own", "rational", "raw")))
+RANDOM_INPUTS = (st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own", "rational")))
 
 
 @settings(max_examples=200, deadline=None)
 @given(*RANDOM_INPUTS)
 def test_descending_series_match_unbounded_products_on_random_algebras(seed, k, basis):
-    """A random-corpus algebra in its own or the rational basis, or a random raw
-    table, one-sided and with [x, x] ≠ 0, where the bound still holds: it rests
-    on bilinearity alone."""
+    """A random-corpus algebra in its own or the rational basis."""
     _check_descending_against_unbounded(_random_algebra(seed, k, basis))
 
 
@@ -844,9 +836,7 @@ def test_dict_row_key_out_of_range_is_a_value_error(key, value):
 
 
 def _check_profile_json(L):
-    prof = _outcome(profile, L)
-    if isinstance(prof, type):  # a raw table that profile refuses
-        return
+    prof = profile(L)
     got, expected = cli.profile_json(L, prof), reference.fraction_profile_json(L, prof)
     assert got == expected
     assert cli._dump_json(got) == json.dumps(expected, indent=2) + "\n"
@@ -877,7 +867,7 @@ def test_profile_json_matches_fraction_rows_on_random_algebras(seed, k, basis):
 
 def _stacked_upper_extension(L: LieAlgebra, s: Subspace):
     """The dense kernel U(s) of x -> [x, e_j] mod s, or NotAnIdealError unless
-    s <= U(s): the contract of `upper_extension` on any table, one-sided or not."""
+    s <= U(s): the contract of `upper_extension`."""
     u = reference.dense_upper_extension(L, s)
     return u if s.leq(u) else NotAnIdealError
 
@@ -909,13 +899,12 @@ def _traced_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
 
 
 def _check_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
-    """`upper_extension` against the dense kernel and, on an antisymmetric table,
-    where [s, L] <= s is the ideal test, against `checked_upper_extension`."""
+    """`upper_extension` against the dense kernel and `checked_upper_extension`:
+    (raised by the kernel test, stopped, raised by the test of the rows left alone)."""
     got, stopped, alone = _traced_upper_extension(L, s)
-    assert got == _stacked_upper_extension(L, s)
-    if L.validate().kind != "antisymmetry":
-        assert got == _outcome(reference.checked_upper_extension, L, s)
-    return stopped, alone
+    assert got == _stacked_upper_extension(L, s) == _outcome(reference.checked_upper_extension,
+                                                              L, s)
+    return got is NotAnIdealError and not alone, stopped, alone
 
 
 def _wide_spans(rng: random.Random, n: int) -> list:
@@ -927,37 +916,39 @@ def _wide_spans(rng: random.Random, n: int) -> list:
     return [span(max(1, n - rng.randint(1, 2))) for _ in range(3)] + [span(rng.randint(1, 3))]
 
 
-def test_upper_extension_stops_exactly_on_seeded_raw_tables():
-    """Raw one-sided tables and their antisymmetrized forms, most failing an axiom:
-    equal results or NotAnIdealError from both, and among the cases, non-ideals
-    whose elimination stopped at rank n − dim s and that only the test of the rows
-    left after the stop rejects."""
-    rng, counts = random.Random(2026), {"stopped": 0, "alone": 0}
-    for constants in _raw_tables(150, 21):
-        L = LieAlgebra(constants)
-        for s in _wide_spans(rng, L.dim):
-            stopped, alone = _check_upper_extension(L, s)
+def _seeded_lie_algebras() -> list:
+    """The catalog, 100 random-corpus algebras and six matrix-unit and rational ones."""
+    return ([catalog.get(name).algebra for name in catalog.names()]
+            + random_algebras(100, 4, 21)
+            + [reference.build(name) for name in ("gl3", "b4", "n5", "rational-gl3",
+                                                  "rational-b3", "rational-n4")])
+
+
+def test_upper_extension_stops_exactly_on_non_ideal_spans():
+    """Wide and short spans of Lie algebras, most of them no ideal: equal results or
+    NotAnIdealError from both references.  Among the non-ideals, the kernel test
+    rejects some, and others, whose elimination stopped at rank n − dim s, only the
+    test of the rows left after the stop rejects."""
+    rng, counts = random.Random(2026), {"kernel": 0, "stopped": 0, "alone": 0}
+    for L in _seeded_lie_algebras():
+        for s in _wide_spans(rng, L.dim) + _wide_spans(rng, L.dim):
+            kernel, stopped, alone = _check_upper_extension(L, s)
+            counts["kernel"] += kernel
             counts["stopped"] += stopped
             counts["alone"] += alone
-    assert counts["stopped"] >= 20 and counts["alone"] >= 10, counts
+    assert counts["kernel"] >= 100 and counts["stopped"] >= 20 and counts["alone"] >= 10, counts
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from((INTEGER_VALUES, RATIONAL_VALUES)),
-       st.booleans(), st.data())
-def test_upper_extension_matches_references_on_random_raw_tables(seed, values, antisym, data):
-    """A random raw table, or the table with its reverse orientations added, and
-    spans of 1 to n vectors, the stopped extensions among them."""
-    dim, table = next(_random_tables(1, seed, values))
-    try:
-        constants = (StructureConstants.from_brackets if antisym else StructureConstants)(
-            dim, table)
-    except ValueError:  # both orientations given, inconsistently
-        constants = StructureConstants(dim, table)
+@given(*RANDOM_INPUTS, st.data())
+def test_upper_extension_matches_references_on_random_wide_spans(seed, k, basis, data):
+    """A random-corpus algebra in its own or the rational basis, and spans of 1 to
+    n vectors, the stopped extensions among them."""
+    L = _random_algebra(seed, k, basis)
     entry = st.sampled_from((0, 0, 1, -1, 2, Fraction(-1, 2)))
-    vecs = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
-                              min_size=1, max_size=dim))
-    L, s = LieAlgebra(constants), Subspace.span(vecs, dim)
+    vecs = data.draw(st.lists(st.lists(entry, min_size=L.dim, max_size=L.dim),
+                              min_size=1, max_size=L.dim))
+    s = Subspace.span(vecs, L.dim)
     _check_upper_extension(L, s)
     _check_product_predicates(L, s)
 
@@ -971,13 +962,11 @@ def _check_product_predicates(L: LieAlgebra, s: Subspace):
     return outcomes
 
 
-def test_product_predicates_match_checked_reference_on_raw_tables():
-    """Seeded raw one-sided tables and their antisymmetrized forms, on lines and
-    wide spans, most of them no ideal, and on the ideals these generate: every
-    ideal test and product reads the brackets by their right factor."""
+def test_product_predicates_match_checked_reference_on_non_ideal_spans():
+    """Lines and wide spans of Lie algebras, most of them no ideal, and the ideals
+    these generate."""
     rng, seen = random.Random(2027), set()
-    for constants in _raw_tables(150, 22, RATIONAL_VALUES):
-        L = LieAlgebra(constants)
+    for L in _seeded_lie_algebras():
         spans = _lines(L) + _wide_spans(rng, L.dim)
         for s in spans + [L.ideal_closure(s.int_rows) for s in spans]:
             seen.update(_check_product_predicates(L, s))
@@ -1016,8 +1005,7 @@ def test_profile_upper_central_matches_reference_past_the_ladder(name):
 @settings(max_examples=200, deadline=None)
 @given(*RANDOM_INPUTS)
 def test_profile_upper_central_matches_reference_on_random_algebras(seed, k, basis):
-    """Random-corpus algebras in their own and the rational basis, and random raw
-    tables, on which Z(L) <= L^⊥ <= R(L) holds as well."""
+    """Random-corpus algebras in their own and the rational basis."""
     _check_upper_central(_random_algebra(seed, k, basis))
 
 

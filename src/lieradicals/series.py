@@ -27,8 +27,9 @@ The stabilized values are the headline invariants:
   L / NP(L) is always nilpotent.  P(L) is contained in NP(L).
 * smallest upper bounded ideal: the last (largest) term of the upper central
   series; it is contained in every ideal I with U(I) = I.
-* radical R(L): the largest solvable ideal, computed exactly as the
-  Killing-orthogonal complement of the derived algebra.
+* radical R(L): the largest solvable ideal, computed exactly as a
+  Killing-orthogonal complement: `radical` takes D(L)^⊥, and `profile` takes
+  P(L)^⊥, which is the same ideal and has no constraint row on a solvable input.
 * center Z(L) = U(0).
 """
 
@@ -91,13 +92,15 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
                           for j, col in row.items() if i < j), L.dim, L.dim)
 
 
-def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace) -> SeriesReport:
+def _descending(kind: SeriesKind, L: LieAlgebra, d1: Subspace,
+                fixed: Subspace | None = None) -> SeriesReport:
     """L, then d1 = D(L), then each [t, t] or [L, t] bounded by the term t, which holds
-    it; [L, t] is spanned by [G, t], as t is an ideal (`LieAlgebra._generators`)."""
+    it; [L, t] is spanned by [G, t], as t is an ideal (`LieAlgebra._generators`).
+    A term equal to `fixed`, a known fixed point of the step, is its own next term."""
     derived = kind is SeriesKind.DERIVED
-    return iterate_series(kind, L.full_space(), lambda t: d1 if t.is_full() else Subspace.span(
-        L._brackets(t, t) if derived else (b for r in t.int_rows for b in L._basis_brackets(r)),
-        L.dim, t.dim))
+    return iterate_series(kind, L.full_space(), lambda t: d1 if t.is_full() else t if t == fixed
+                          else Subspace.span(L._brackets(t, t) if derived else (
+                              b for r in t.int_rows for b in L._basis_brackets(r)), L.dim, t.dim))
 
 
 def derived_series(L: LieAlgebra) -> SeriesReport:
@@ -299,22 +302,26 @@ class ProfileReport:
 def profile(L: LieAlgebra) -> ProfileReport:
     """Compute the three series, the radicals and all flags in one pass."""
     d1 = derived_subalgebra(L)  # D(L) = [L, L], formed once for both series
-    der, low = (_descending(k, L, d1) for k in (SeriesKind.DERIVED, SeriesKind.LOWER_CENTRAL))
-    rad = L.killing_orthogonal(d1)  # radical(L), which holds the center
-    upp = iterate_series(SeriesKind.UPPER_CENTRAL, L.zero_space(),
-                         lambda t: upper_extension(L, t) if t.dim else _center_in(L, rad))
+    der = _descending(SeriesKind.DERIVED, L, d1)
+    p = der.stable_term  # P(L): [L, P] = P, so the lower central series stops on it
+    low = _descending(SeriesKind.LOWER_CENTRAL, L, d1, p)
+    # R(L) = P(L)^⊥, the D(L)^⊥ of radical(L), with no row if P = 0; it holds the center.
+    rad = L.killing_orthogonal(p)
+    # U(t) = L once D(L) <= t, since every [x, L] lies in D(L).
+    upp = iterate_series(SeriesKind.UPPER_CENTRAL, L.zero_space(), lambda t: L.full_space()
+                         if d1.leq(t) else upper_extension(L, t) if t.dim else _center_in(L, rad))
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple
     # also cross-checks that against the form's kernel, which tests exercise.
     return ProfileReport(
         derived=der,
         lower_central=low,
         upper_central=upp,
-        perfect_radical=der.stable_term,
+        perfect_radical=p,
         near_perfect_radical=low.stable_term,
         radical=rad,
         center=upp.terms[1],
         smallest_upper_bounded=upp.stable_term,
-        solvable=der.stable_term.is_zero(),
+        solvable=p.is_zero(),
         nilpotent=low.stable_term.is_zero(),
         perfect=d1.is_full(),
         abelian=d1.is_zero(),

@@ -62,11 +62,11 @@ def _traced_layers(run) -> dict:
 
 
 def test_profile_reaches_the_traced_upper_extension():
-    """heis3's upper central series 0 < Z(L) < L is built by upper extensions,
-    which the traced run must count."""
+    """n4's upper central series 0 < Z(L) < U_2 < L is built by upper extensions
+    up to U_2, which holds D(L), so that U(U_2) = L; the traced run must count them."""
     from lieradicals import catalog, series
 
-    layers = _traced_layers(lambda: series.profile(catalog.get("heis3").algebra))
+    layers = _traced_layers(lambda: series.profile(catalog.get("n4").algebra))
     assert layers["series.upper_extension"]["calls"] >= 2
 
 

@@ -43,7 +43,12 @@ with the series of a reference extension on the inputs above, on gl8, n14,
 b12 and sl6, and under hypothesis on random-corpus algebras; a monkeypatched `insert_row` shows
 that sl3's center stores no row and that gl4's stabilizing step stops at
 rank 15, and a monkeypatched `_extension_rows` that `upper_extension(L, 0)`,
-the center when R(L) = L, forms no row after its stop.
+the center when R(L) = L, forms no row after its stop.  `profile` takes
+R(L) = P(L)^⊥, stops the lower central series at P(L) and sets U(t) = L once
+t holds D(L): a solvable input builds no Killing matrix, a nilpotent one of
+class c makes c − 1 upper extensions, and gl4 forms no [G, sl4]; `profile`
+is compared with `reference.unbounded_profile`, and its radical with
+`radical`, on direct sums with 0 != P(L) < D(L) and on rational n5 and n6.
 
 The derived and lower central series, whose products stop at the rank of
 the term that bounds them, are compared term by term with
@@ -108,9 +113,11 @@ from lieradicals.oracle import random_algebras, random_ideal
 from lieradicals.series import (
     SeriesKind,
     derived_series,
+    derived_subalgebra,
     is_near_perfect_ideal,
     is_perfect_ideal,
     is_semisimple,
+    is_solvable,
     is_upper_bounded_ideal,
     lower_central_series,
     profile,
@@ -121,6 +128,7 @@ from lieradicals.series import (
 
 import reference
 from reference import is_zero_vector
+from test_closed_form import direct_sum
 
 FAMILY_NAMES = reference.matrix_unit_ladder(16)
 ABELIAN_DIMS = (0, 1, 5, 12)
@@ -501,6 +509,30 @@ RANDOM_INPUTS = (st.integers(0, 2**32), st.integers(0, 9), st.sampled_from(("own
 def test_descending_series_match_unbounded_products_on_random_algebras(seed, k, basis):
     """A random-corpus algebra in its own or the rational basis."""
     _check_descending_against_unbounded(_random_algebra(seed, k, basis))
+
+
+def _settled_inputs():
+    """Direct sums with 0 != P(L) < D(L), where R(L) = P(L)^⊥ takes constraint rows
+    that D(L)^⊥ does not, and nilpotent inputs in a rational basis."""
+    perfect = [(name, catalog.get(name).algebra) for name in ("sl2", "sl2_plus_s3_2")]
+    parts = [(name, catalog.get(name).algebra) for name in ("heis3", "s3_2")]
+    parts += [(name, reference.build(name)) for name in ("b3", "rational-b3", "rational-n4")]
+    cases = [pytest.param(direct_sum(x, y), id=f"{a}+{b}") for a, x in perfect for b, y in parts]
+    return cases + [pytest.param(reference.build(name), id=name)
+                    for name in ("rational-n5", "rational-n6")]
+
+
+@pytest.mark.parametrize("L", _settled_inputs())
+def test_profile_matches_unbounded_profile_where_the_series_settle_answers(L):
+    """`profile` takes R(L) = P(L)^⊥, stops the lower central series at P(L) and
+    sets U(t) = L once D(L) <= t; `unbounded_profile` takes D(L)^⊥, the public
+    upper central series and products with no bound."""
+    prof = profile(L)
+    p = prof.perfect_radical
+    d1 = derived_subalgebra(L)
+    assert prof.nilpotent or not p.is_zero() and p <= d1 and p != d1
+    assert prof == reference.unbounded_profile(L)
+    assert prof.radical == radical(L)
 
 
 @pytest.mark.parametrize("name", ["gl4", "sl3", "rational-gl3"])
@@ -1014,15 +1046,15 @@ def test_profile_upper_central_matches_reference_on_random_algebras(seed, k, bas
     ("gl4", 1, 0, [(15, 1)]),  # R = Z(L), dim 1; U(Z) = Z stops at rank 16 − 1
     ("rational-gl3", 1, 0, [(8, 1)]),
     ("b4", 10, 9, [(10, 0), (9, 1)]),  # R = L: the center is U(0), over the standard basis
-    ("n5", 10, 9, [(10, 0), (9, 0), (7, 0), (4, 0)]),  # no step stabilizes until U(L) = L
+    ("n5", 10, 9, [(10, 0), (9, 0), (7, 0)]),  # no step stabilizes; U(U_3) = L holds D(L)
 ])
 def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_rows, steps,
                                                          monkeypatch):
     """A monkeypatched `insert_row` counts the rows that the center's system over
     R(L) stores, and for each `upper_extension` the rank it may stop at and
-    whether rows were left for the test after the stop; U(L) = L returns before
-    any elimination.  When R = L, the center is one `upper_extension(L, 0)`, the
-    first call listed."""
+    whether rows were left for the test after the stop; once a term holds D(L),
+    its extension is L with no call.  When R = L, the center is one
+    `upper_extension(L, 0)`, the first call listed."""
     L = reference.build(name)
     spans, calls = [], []
     insert_row, echelon_rows = linalg.insert_row, linalg.echelon_rows
@@ -1057,9 +1089,67 @@ def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_
     (center,) = [c for c in calls if c[0] == "center"]
     assert center[:3] == ("center", unknowns, center_rows)
     assert name != "sl3" or center[3] == 0
-    last = [(0, 0)] if prof.upper_central.stable_term.is_full() else []
-    assert [c for c in calls if c is not center] == steps + last
+    assert [c for c in calls if c is not center] == steps
     assert prof == reference.unbounded_profile(L)
+
+
+SOLVABLE = ["b4", "n5", "rational-b4", "rational-n5", "abelian12"]
+SOLVABLE += [f"catalog-{e.name}" for e in catalog.entries() if is_solvable(e.algebra)]
+
+
+def _fresh(name: str) -> LieAlgebra:
+    """A new algebra object, with nothing cached on it yet."""
+    if name.startswith("catalog-"):
+        return LieAlgebra(catalog.get(name[len("catalog-"):]).algebra.constants)
+    return reference.build(name)
+
+
+@pytest.mark.parametrize("name", SOLVABLE + ["gl3", "sl3"])
+def test_profile_builds_the_killing_matrix_only_for_a_nonzero_perfect_radical(name):
+    """R(L) = P(L)^⊥ has no constraint row when P(L) = 0, so a solvable input never
+    builds `_killing`; gl3 and sl3 do."""
+    L = _fresh(name)
+    prof = profile(L)
+    assert prof.solvable == (name in SOLVABLE)
+    assert ("_killing" in L.__dict__) != prof.solvable
+    assert prof.radical == radical(L)
+
+
+@pytest.mark.parametrize("name", ["n3", "n4", "n5", "n6", "rational-n4", "rational-n5",
+                                  "catalog-heis3", "catalog-n4", "catalog-abelian2"])
+def test_nilpotent_profile_makes_one_upper_extension_fewer_than_its_class(name, monkeypatch):
+    """On a nilpotent L of class c, U_(c-1) holds D(L), so U_c = L is set with no
+    call: c − 1 `upper_extension` calls, the center's included."""
+    L, calls = _fresh(name), []
+    extension = series.upper_extension
+
+    def record_extension(L, ideal):
+        calls.append(ideal.dim)
+        return extension(L, ideal)
+
+    monkeypatch.setattr(series, "upper_extension", record_extension)
+    prof = profile(L)
+    monkeypatch.undo()
+    assert prof.nilpotent
+    assert len(calls) == len(prof.lower_central.chain) - 2
+    assert prof.upper_central == upper_central_series(L)
+
+
+def test_profile_lower_central_series_of_gl4_stops_at_the_perfect_radical(monkeypatch):
+    """On matrix-unit gl4, D(L) = sl4 = P(L), so `profile` forms no [G, sl4]:
+    no `_basis_brackets` call, where the public series makes some."""
+    L, calls = reference.build("gl4"), []
+    basis_brackets = LieAlgebra._basis_brackets
+
+    def record(self, u):
+        calls.append(u)
+        return basis_brackets(self, u)
+
+    monkeypatch.setattr(LieAlgebra, "_basis_brackets", record)
+    prof = profile(L)
+    assert calls == []
+    assert lower_central_series(L) == prof.lower_central
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl12", "gl4", "rational-gl3"])

@@ -546,9 +546,9 @@ class LieAlgebra:
         """The factor algebra L / ideal; raises NotAnIdealError for a non-ideal.
 
         The quotient basis is the standard vectors at the ideal's free columns
-        (`Subspace.free_columns`), in index order, and
-        `ideal.quotient_projection()` maps ambient coordinates onto it.  The
-        quotient coordinates of [e_i, e_j] are its free entries mod the ideal:
+        (`Subspace.free_columns`), in index order, and v mod the ideal read at
+        those columns gives v's coordinates in it.  The quotient coordinates
+        of [e_i, e_j] are its free entries mod the ideal:
         `ideal._reduce` of the stored integers D·[e_i, e_j] is
         δ·D·([e_i, e_j] mod I), so they are divided by δ·D.
         """

@@ -14,9 +14,8 @@ is built on these rows; dense rows are made only for a :class:`Matrix` or
 output (:func:`dense`), and ``Fraction`` values when a row is divided by its
 pivot entry (:func:`divided`).
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
-`killing_matrix`, `Subspace.quotient_projection` and `Subspace.basis` return,
-and it keeps only `rref`, `kernel`, `@`, `transpose`, `identity` and
-`is_zero` beyond element access.
+`killing_matrix` and `Subspace.basis` return, and it keeps only `rref`,
+`kernel`, `@`, `transpose`, `identity` and `is_zero` beyond element access.
 """
 
 from __future__ import annotations

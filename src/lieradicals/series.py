@@ -26,7 +26,9 @@ The stabilized values are the headline invariants:
   last term of the lower central series.  L is nilpotent iff NP(L) = 0, and
   L / NP(L) is always nilpotent.  P(L) is contained in NP(L).
 * smallest upper bounded ideal: the last (largest) term of the upper central
-  series; it is contained in every ideal I with U(I) = I.
+  series; it is contained in every ideal I with U(I) = I.  Every term U_k is a
+  solvable ideal, so lies in R(L), and on a nilpotent L of class c it holds
+  L^(c−k): `profile` solves each step inside R(L) and stops it at those bounds.
 * radical R(L): the largest solvable ideal, computed exactly as a
   Killing-orthogonal complement: `radical` takes D(L)^⊥, and `profile` takes
   P(L)^⊥, which is the same ideal and has no constraint row on a solvable input.
@@ -146,20 +148,25 @@ def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
     return u
 
 
-def _center_in(L: LieAlgebra, rad: Subspace) -> Subspace:
-    """Z(L), solved over the rows R_a of rad = R(L) as unknowns, with [e_g, x] = 0
-    for g in G.  A central x has ad x = 0, so K(x, ·) = 0 and x lies in
-    L^⊥ <= D(L)^⊥ = R.  With no unknown (R = 0) there is no row,
-    and G is not built."""
-    if rad.is_full():  # the unknowns are the standard basis: U(0) itself
-        return upper_extension(L, L.zero_space())
-    gens = L._generators if rad.dim else ()
-    images = ({a: w for a, r in enumerate(rad.int_rows)  # D·[e_g, R_a], summed over R_a's i
-               if (w := combination((x, row[i]) for i, x in r.items() if i in row))}
-              for row in (L.constants.adjoint[g] for g in gens))
-    coeffs = Subspace.span(_extension_rows(L.zero_space(), images), rad.dim, rad.dim).annihilator()
-    return Subspace.span([combination((y, rad.int_rows[a]) for a, y in c.items())
-                          for c in coeffs.int_rows], L.dim)
+def _upper_step(L: LieAlgebra, rad: Subspace, t: Subspace, floor: int) -> Subspace:
+    """U(t) for a term t of the upper central series, solved over the rows R_a of
+    rad = R(L) as unknowns, with [e_g, x] in t for g in G: U(t)/t = Z(L/t) is
+    abelian, so by induction from t = 0 every term is a solvable ideal and U(t) <= R.
+    When R = L the unknowns are the standard basis, whose images are the stored
+    rows `adjoint[g]`.  The rows have rank dim R − dim U(t) <= dim R − floor, for a
+    known floor <= dim U(t), so the elimination stops there; with floor >= dim R,
+    U(t) = R and no row is formed (`notes/decisions.md`, "Answers the series
+    already give")."""
+    if floor >= rad.dim:
+        return rad
+    images = (L.constants.adjoint[g] for g in L._generators)
+    if not rad.is_full():  # D·[e_g, R_a], summed over R_a's i
+        images = ({a: w for a, r in enumerate(rad.int_rows)
+                   if (w := combination((x, row[i]) for i, x in r.items() if i in row))}
+                  for row in images)
+    coeffs = Subspace.span(_extension_rows(t, images), rad.dim, rad.dim - floor).annihilator()
+    return coeffs if rad.is_full() else Subspace.span(
+        [combination((y, rad.int_rows[a]) for a, y in c.items()) for c in coeffs.int_rows], L.dim)
 
 
 def upper_central_series(L: LieAlgebra) -> SeriesReport:
@@ -305,11 +312,12 @@ def profile(L: LieAlgebra) -> ProfileReport:
     der = _descending(SeriesKind.DERIVED, L, d1)
     p = der.stable_term  # P(L): [L, P] = P, so the lower central series stops on it
     low = _descending(SeriesKind.LOWER_CENTRAL, L, d1, p)
-    # R(L) = P(L)^⊥, the D(L)^⊥ of radical(L), with no row if P = 0; it holds the center.
+    # R(L) = P(L)^⊥, the D(L)^⊥ of radical(L), with no row if P = 0; it holds every U_k.
     rad = L.killing_orthogonal(p)
-    # U(t) = L once D(L) <= t, since every [x, L] lies in D(L).
-    upp = iterate_series(SeriesKind.UPPER_CENTRAL, L.zero_space(), lambda t: L.full_space()
-                         if d1.leq(t) else upper_extension(L, t) if t.dim else _center_in(L, rad))
+    # t <= U(t), and on a nilpotent L of class c, L^(c−k−1) <= U(U_k): the k-th floor.
+    floors = iter([s.dim for s in reversed(low.chain[:-1])] if low.stable_term.is_zero() else ())
+    upp = iterate_series(SeriesKind.UPPER_CENTRAL, L.zero_space(),
+                         lambda t: _upper_step(L, rad, t, max(t.dim, next(floors, 0))))
     # A nonzero algebra is semisimple iff its radical is 0; is_semisimple
     # also cross-checks that against the form's kernel, which tests exercise.
     return ProfileReport(

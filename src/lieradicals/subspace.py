@@ -133,18 +133,6 @@ class Subspace:
         self._check_ambient(other)
         return not any(map(other._reduce, self.int_rows))
 
-    def quotient_projection(self) -> Matrix:
-        """Projection onto the complementary standard coordinates.
-
-        Rows index the non-pivot columns of the basis, in increasing order;
-        applying the matrix to v gives the coordinates of v mod this subspace
-        in the basis of standard vectors at those columns.
-        """
-        n, d = self.ambient_dim, self._delta
-        cols = [self._reduce({j: 1}) for j in range(n)]
-        return Matrix.from_rows([divided([v.get(c, 0) for v in cols], d)
-                                 for c in self.free_columns()], n)
-
     def free_columns(self) -> list[int]:
         """The non-pivot columns, in increasing order."""
         return sorted(set(range(self.ambient_dim)).difference(self.pivots))

@@ -38,7 +38,7 @@ from lieradicals.core import (
     StructureConstants,
     ValidationReport,
 )
-from lieradicals.linalg import Matrix, vector
+from lieradicals.linalg import Matrix, divided, vector
 from lieradicals.series import ProfileReport, SeriesKind, SeriesReport, upper_central_series
 from lieradicals.subspace import Subspace
 
@@ -503,6 +503,17 @@ def fraction_projection(s: Subspace) -> Matrix:
             row[p] = -s.basis.row(r_idx)[c]
         rows.append(row)
     return Matrix.from_rows(rows, s.ambient_dim)
+
+
+def quotient_projection(s: Subspace) -> Matrix:
+    """The map onto the factor basis of `LieAlgebra.quotient`, the standard vectors
+    at s's free columns: row a, for the a-th free column c, holds c's entry of
+    `s._reduce` of each e_j, divided by δ, so the matrix takes v to the coordinates
+    of v mod s.  It was `Subspace.quotient_projection`, which no library code used."""
+    n, d = s.ambient_dim, s._delta
+    cols = [s._reduce({j: 1}) for j in range(n)]
+    return Matrix.from_rows([divided([v.get(c, 0) for v in cols], d)
+                             for c in s.free_columns()], n)
 
 
 def dense_quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:

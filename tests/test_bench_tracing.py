@@ -4,9 +4,9 @@
 name when the benchmark runs with `--trace 1`.  A function renamed or deleted
 here would break only that traced run, so this test resolves every name the
 way `Tracer.install` does: a method must be defined on the class itself, and
-a module function must be an attribute of its module.  A traced run of
-`profile` also shows that the upper central series reaches the traced
-`series.upper_extension`, a traced `verify` that its factor algebras go
+a module function must be an attribute of its module.  A traced `verify`
+also shows that its upper bounded filter reaches the traced
+`series.upper_extension` and that its factor algebras go
 through the traced `LieAlgebra.quotient`, a traced descending series
 that each of its products, bounded or not, is one traced `Subspace.span`,
 and a traced `--json` command that it renders through exactly one call of
@@ -61,12 +61,13 @@ def _traced_layers(run) -> dict:
     return tracer.layers()
 
 
-def test_profile_reaches_the_traced_upper_extension():
-    """n4's upper central series 0 < Z(L) < U_2 < L is built by upper extensions
-    up to U_2, which holds D(L), so that U(U_2) = L; the traced run must count them."""
-    from lieradicals import catalog, series
+def test_verify_reaches_the_traced_upper_extension():
+    """`verify` sorts its pool into upper bounded ideals with `is_upper_bounded_ideal`,
+    one `upper_extension` per ideal; the traced run must count them.  `profile`
+    solves its upper central steps in a private step that the table does not name."""
+    from lieradicals import catalog, oracle
 
-    layers = _traced_layers(lambda: series.profile(catalog.get("n4").algebra))
+    layers = _traced_layers(lambda: oracle.verify_theorems(catalog.get("n4").algebra, samples=5))
     assert layers["series.upper_extension"]["calls"] >= 2
 
 

@@ -14,7 +14,7 @@ from lieradicals.linalg import Matrix
 from lieradicals.oracle import random_ideal, verify_theorems
 from lieradicals.series import center, derived_subalgebra, profile, upper_extension
 from lieradicals.subspace import Subspace
-from reference import apply, dense_killing, is_zero_vector, vadd, zeros
+from reference import apply, dense_killing, is_zero_vector, quotient_projection, vadd, zeros
 
 F = Fraction
 
@@ -401,7 +401,7 @@ def test_embed_checks_the_ambient_dimension(sl2):
 def test_quotient_by_zero_is_the_algebra(s32):
     zero = s32.zero_space()
     assert s32.quotient(zero) == s32
-    assert zero.quotient_projection() == Matrix.identity(3)
+    assert quotient_projection(zero) == Matrix.identity(3)
 
 
 def test_quotient_s32_by_plane(s32):
@@ -429,7 +429,7 @@ def test_quotient_projection_is_homomorphism(s32, heis3, sl2s32):
         (heis3, span(3, (0, 0, 1))),
         (sl2s32, span(6, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0))),
     ):
-        q, proj = L.quotient(ideal), ideal.quotient_projection()
+        q, proj = L.quotient(ideal), quotient_projection(ideal)
         assert q.validate().ok
         for _ in range(30):
             x, y = rand_vec(rng, L.dim), rand_vec(rng, L.dim)

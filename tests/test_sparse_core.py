@@ -37,18 +37,23 @@ then tests the rows left on s's basis; it is compared with
 from the table, and with `reference.checked_upper_extension`, on wide and
 short spans of the catalog, random-corpus and matrix-unit algebras, among them
 non-ideals that the kernel test rejects and non-ideals that only the test
-after the stop rejects, and under hypothesis on random ones.  `profile`, which
-solves the center inside R(L), is compared with `upper_central_series` and
-with the series of a reference extension on the inputs above, on gl8, n14,
-b12 and sl6, and under hypothesis on random-corpus algebras; a monkeypatched `insert_row` shows
-that sl3's center stores no row and that gl4's stabilizing step stops at
-rank 15, and a monkeypatched `_extension_rows` that `upper_extension(L, 0)`,
-the center when R(L) = L, forms no row after its stop.  `profile` takes
-R(L) = P(L)^⊥, stops the lower central series at P(L) and sets U(t) = L once
-t holds D(L): a solvable input builds no Killing matrix, a nilpotent one of
-class c makes c − 1 upper extensions, and gl4 forms no [G, sl4]; `profile`
-is compared with `reference.unbounded_profile`, and its radical with
-`radical`, on direct sums with 0 != P(L) < D(L) and on rational n5 and n6.
+after the stop rejects, and under hypothesis on random ones, and
+`upper_extension(L, 0)` forms no row after its stop.  `profile`, which
+solves every upper central step inside R(L) and stops it at a floor, is
+compared with `upper_central_series` and with the series of a reference
+extension on the inputs above, on gl8, n14, b12 and sl6, and under
+hypothesis on random-corpus algebras.  The two bounds it takes, every
+upper central term inside `radical(L)` and L^(c−k) <= U_k on a nilpotent L
+of class c, are checked on the public series alone.  A monkeypatched
+`_extension_rows` and `echelon_rows` show the rank each step's system stops
+at and the rows it builds: none for sl3, for U(Z) = Z on gl4 and rational
+gl3 or for the last step of a nilpotent input, and ranks 9, 7 and 4 on
+rational n5, with no public `upper_extension` call.  `profile` takes
+R(L) = P(L)^⊥ and stops the lower central series at P(L): a solvable input
+builds no Killing matrix and gl4 forms no [G, sl4]; `profile` is compared
+with `reference.unbounded_profile`, and its radical with `radical`, on
+direct sums with 0 != P(L) < D(L), on rational n5 and n6, and on direct
+sums where the upper bounds are strict or absent.
 
 The derived and lower central series, whose products stop at the rank of
 the term that bounds them, are compared term by term with
@@ -205,7 +210,7 @@ def test_quotient_matches_dense_projection(name, L):
     for ideal in _structure_ideals(name, L):
         expected_q, expected_proj = reference.dense_quotient(L, ideal)
         assert L.quotient(ideal) == expected_q
-        assert ideal.quotient_projection() == expected_proj
+        assert reference.quotient_projection(ideal) == expected_proj
 
 
 def _outcome(fn, *args):
@@ -525,8 +530,9 @@ def _settled_inputs():
 @pytest.mark.parametrize("L", _settled_inputs())
 def test_profile_matches_unbounded_profile_where_the_series_settle_answers(L):
     """`profile` takes R(L) = P(L)^⊥, stops the lower central series at P(L) and
-    sets U(t) = L once D(L) <= t; `unbounded_profile` takes D(L)^⊥, the public
-    upper central series and products with no bound."""
+    solves each upper central step inside R(L), down to its floor;
+    `unbounded_profile` takes D(L)^⊥, the public upper central series and
+    products with no bound."""
     prof = profile(L)
     p = prof.perfect_radical
     d1 = derived_subalgebra(L)
@@ -894,7 +900,7 @@ def test_profile_json_matches_fraction_rows_on_random_algebras(seed, k, basis):
     _check_profile_json(_random_algebra(seed, k, basis))
 
 
-# -- the upper central series: the center inside R(L), and stopped extensions ------
+# -- the upper central series: steps inside R(L), and stopped extensions ----------
 
 
 def _stacked_upper_extension(L: LieAlgebra, s: Subspace):
@@ -1041,55 +1047,106 @@ def test_profile_upper_central_matches_reference_on_random_algebras(seed, k, bas
     _check_upper_central(_random_algebra(seed, k, basis))
 
 
-@pytest.mark.parametrize("name,unknowns,center_rows,steps", [
-    ("sl3", 0, 0, []),  # R = 0: no unknown, and 0 < Z(L) never starts
-    ("gl4", 1, 0, [(15, 1)]),  # R = Z(L), dim 1; U(Z) = Z stops at rank 16 − 1
-    ("rational-gl3", 1, 0, [(8, 1)]),
-    ("b4", 10, 9, [(10, 0), (9, 1)]),  # R = L: the center is U(0), over the standard basis
-    ("n5", 10, 9, [(10, 0), (9, 0), (7, 0)]),  # no step stabilizes; U(U_3) = L holds D(L)
+def _check_series_bounds(L: LieAlgebra) -> None:
+    """The two bounds `profile`'s upper steps take, on the public series alone:
+    every upper central term lies in R(L), and on a nilpotent L of class c,
+    L^(c−k) <= U_k for every k <= c."""
+    upper, rad = upper_central_series(L).terms, radical(L)
+    assert all(u <= rad for u in upper)
+    low = lower_central_series(L)
+    if low.stable_term.is_zero():
+        c = len(low.chain) - 1
+        assert all(low.chain[c - k] <= upper[k] for k in range(c + 1))
+
+
+@pytest.mark.parametrize("name", [f"catalog-{n}" for n in catalog.names()] + BOUNDED_LADDER
+                         + ["b12", "rational-n4", "rational-n5", "rational-n6"])
+def test_upper_central_terms_lie_in_the_radical_and_over_the_lower_central_terms(name):
+    _check_series_bounds(_fresh(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(*RANDOM_INPUTS)
+def test_upper_central_bounds_hold_on_random_algebras(seed, k, basis):
+    """Random-corpus algebras in their own and the rational basis."""
+    _check_series_bounds(_random_algebra(seed, k, basis))
+
+
+@pytest.mark.parametrize("parts,upper,lower,rad", [
+    (("gl2", "heis3"), [0, 2, 4], [7, 4, 3], 4),  # U_1 = Z < U_2 = R < L
+    (("heis3", "abelian1"), [0, 2, 4], [4, 1, 0], 4),  # dim Z = 2 > dim L^1 = 1
+    (("sl2", "n4"), [0, 1, 3, 6], [9, 6, 4, 3], 6),  # R = n4 < L, no lower bound
 ])
-def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_rows, steps,
-                                                         monkeypatch):
-    """A monkeypatched `insert_row` counts the rows that the center's system over
-    R(L) stores, and for each `upper_extension` the rank it may stop at and
-    whether rows were left for the test after the stop; once a term holds D(L),
-    its extension is L with no call.  When R = L, the center is one
-    `upper_extension(L, 0)`, the first call listed."""
-    L = reference.build(name)
-    spans, calls = [], []
-    insert_row, echelon_rows = linalg.insert_row, linalg.echelon_rows
-    center_in = series._center_in
-
-    def record_span(rows, cols, rank=None):
-        spans.append([cols, 0])
-        return echelon_rows(rows, cols, rank)
-
-    def record_insert(rows, w):
-        added = insert_row(rows, w)
-        spans[-1][1] += added is not None
-        return added
-
-    def record_center(*args):
-        spans.clear()
-        z = center_in(*args)
-        calls.append(("center", *spans[0], sum(k for _, k in spans)))
-        return z
-
-    def record_extension(L, ideal):  # the traced run is the only one, so rows count once
-        got, stopped, _ = _traced_upper_extension(L, ideal)
-        calls.append((L.dim - ideal.dim, int(stopped)))
-        return got
-
-    monkeypatch.setattr(subspace, "echelon_rows", record_span)
-    monkeypatch.setattr(linalg, "insert_row", record_insert)
-    monkeypatch.setattr(series, "_center_in", record_center)
-    monkeypatch.setattr(series, "upper_extension", record_extension)
+def test_profile_matches_unbounded_profile_where_the_upper_bounds_are_strict(
+        parts, upper, lower, rad):
+    """Direct sums where U(t) <= R(L) is strict or L^(c−k−1) does not reach U(U_k):
+    gl2 + heis3, where R ≠ L and no lower bound holds; heis3 + Q, nilpotent, whose
+    center step runs to its full rank past the floor dim L^1; sl2 + n4, R = n4.
+    The chains' dimensions show which case each input is."""
+    L = direct_sum(*(catalog.get(p).algebra if p == "heis3" else reference.build(p)
+                     for p in parts))
     prof = profile(L)
-    monkeypatch.undo()
-    (center,) = [c for c in calls if c[0] == "center"]
-    assert center[:3] == ("center", unknowns, center_rows)
-    assert name != "sl3" or center[3] == 0
-    assert [c for c in calls if c is not center] == steps
+    assert [t.dim for t in prof.upper_central.chain] == upper
+    assert [t.dim for t in prof.lower_central.chain] == lower
+    assert prof.radical.dim == rad
+    assert prof == reference.unbounded_profile(L)
+
+
+def _upper_systems(L: LieAlgebra) -> tuple:
+    """`profile(L)` and, for each system its upper central steps solve, (unknowns,
+    the rank its elimination stops at, rows built, rows stored), read through a
+    monkeypatched `_extension_rows` and `echelon_rows`; the public `upper_extension`
+    must not be called."""
+    systems, rows_of, echelon_rows = [], series._extension_rows, subspace.echelon_rows
+
+    def traced_rows(ideal, images):
+        record = {"built": 0}
+
+        def rows():
+            for r in rows_of(ideal, images):
+                record["built"] += 1
+                yield r
+
+        record["rows"] = rows()
+        systems.append(record)
+        return record["rows"]
+
+    def record_span(vectors, cols, rank=None):
+        table = echelon_rows(vectors, cols, rank)
+        if systems and vectors is systems[-1]["rows"]:
+            systems[-1].update(unknowns=cols, stop=rank, stored=len(table[1]))
+        return table
+
+    def refused(*args):
+        raise AssertionError("profile called the public upper_extension")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_extension_rows", traced_rows)
+        mp.setattr(subspace, "echelon_rows", record_span)
+        mp.setattr(series, "upper_extension", refused)
+        prof = profile(L)
+    return prof, [(r["unknowns"], r["stop"], r["built"], r["stored"]) for r in systems]
+
+
+@pytest.mark.parametrize("name,unknowns,center_rows,steps", [
+    ("sl3", 0, 0, []),  # R = 0: no unknown, so no step forms a system
+    ("gl4", 1, 0, [(1, 0)]),  # R = Z(L), dim 1; U(Z) = Z = R forms no system
+    ("rational-gl3", 1, 0, [(1, 0)]),
+    ("b4", 10, 9, [(10, 26), (9, 9)]),  # R = L: the center runs to its full rank 9
+    ("n5", 10, 9, [(9, 10), (7, 8), (4, 5)]),  # each floor dim L^(c−k−1) is met
+    ("rational-n5", 10, 9, [(9, 14), (7, 12), (4, 9)]),  # U(U_3) = L forms no system
+])
+def test_profile_center_and_stabilizing_step_insert_rows(name, unknowns, center_rows, steps):
+    """Each upper central step solves one system over the rows of R(L), the center's
+    first: it has dim R unknowns and stores `center_rows`, and every system's
+    (rank it stops at, rows built) is listed in `steps`.  A step whose floor reaches
+    dim R forms no system, so the stabilizing U(Z) = Z of gl4 and rational gl3
+    forms no row, nor does the last step of a nilpotent input."""
+    L = reference.build(name)
+    prof, systems = _upper_systems(L)
+    assert [s[1:3] for s in systems] == steps
+    assert all(s[0] == unknowns == prof.radical.dim for s in systems)
+    assert [s[3] for s in systems[:1]] == ([center_rows] if steps else [])
     assert prof == reference.unbounded_profile(L)
 
 
@@ -1117,21 +1174,17 @@ def test_profile_builds_the_killing_matrix_only_for_a_nonzero_perfect_radical(na
 
 @pytest.mark.parametrize("name", ["n3", "n4", "n5", "n6", "rational-n4", "rational-n5",
                                   "catalog-heis3", "catalog-n4", "catalog-abelian2"])
-def test_nilpotent_profile_makes_one_upper_extension_fewer_than_its_class(name, monkeypatch):
-    """On a nilpotent L of class c, U_(c-1) holds D(L), so U_c = L is set with no
-    call: c − 1 `upper_extension` calls, the center's included."""
-    L, calls = _fresh(name), []
-    extension = series.upper_extension
-
-    def record_extension(L, ideal):
-        calls.append(ideal.dim)
-        return extension(L, ideal)
-
-    monkeypatch.setattr(series, "upper_extension", record_extension)
-    prof = profile(L)
-    monkeypatch.undo()
+def test_nilpotent_profile_makes_one_upper_extension_fewer_than_its_class(name):
+    """On a nilpotent L of class c, L^(c−k−1) <= U(U_k), so the step from U_k stops
+    at rank n − dim L^(c−k−1), and from U_(c−1), with floor n, forms no system:
+    c − 1 systems, the center's included, none with a public `upper_extension`."""
+    L = _fresh(name)
+    prof, systems = _upper_systems(L)
     assert prof.nilpotent
-    assert len(calls) == len(prof.lower_central.chain) - 2
+    low = prof.lower_central.chain
+    c = len(low) - 1
+    stops = [(L.dim, L.dim - low[c - k - 1].dim) for k in range(c - 1)]
+    assert [s[:2] for s in systems] == stops
     assert prof.upper_central == upper_central_series(L)
 
 

@@ -15,7 +15,8 @@ output (:func:`dense`), and ``Fraction`` values when a row is divided by its
 pivot entry (:func:`divided`).
 :class:`Matrix` is small, dense and immutable; it is what `ad`,
 `killing_matrix` and `Subspace.basis` return, and it keeps only `rref`,
-`kernel`, `@`, `transpose`, `identity` and `is_zero` beyond element access.
+`kernel`, `@`, `transpose` and `is_zero` beyond element access; it is not
+hashable.
 """
 
 from __future__ import annotations
@@ -185,10 +186,6 @@ class Matrix:
                 raise ValueError("rows of unequal length")
         return cls(len(rows), cols, [x for r in rows for x in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
     # -- element access ----------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
@@ -250,9 +247,6 @@ class Matrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -8,15 +8,19 @@ Three ideal chains organize a finite-dimensional Lie algebra:
   U(I) = {x : [x, L] contained in I} is the upper extension of I.
 
 Each chain is monotone in dimension, so it stabilizes after at most n steps.
-The descending ones share L(1) = L^1 = D(L) = [L, L], which `profile` forms once.
-By bilinearity each term holds the next, and an ideal s holds [L, s], so a step, or a
-product of s after `is_ideal`, reads brackets (`LieAlgebra._brackets`) only up to that
-dimension; only this module stops a product or an upper extension early
-(`notes/decisions.md`, "Bounded products", "The upper central series stops too").
-D(L) is the span of the stored brackets.  Each term is an ideal, so a lower central
-step [L, t] and an upper extension bracket with the generating set G of L
+The descending ones share L(1) = L^1 = D(L) = [L, L], the span of the stored
+brackets, which `profile` forms once.  By bilinearity each term holds the next,
+and an ideal s holds [L, s], so a step, or a product of s after `is_ideal`, reads
+brackets (`LieAlgebra._brackets`) only up to that dimension (`notes/decisions.md`,
+"Bounded products").  Each term is an ideal, so a lower central step [L, t] and
+an upper extension bracket with the generating set G of L
 (`LieAlgebra._generators`) instead of every basis vector (`notes/decisions.md`,
-"One Lie generating set").
+"One Lie generating set").  Every U(·) is solved by one step, `_upper_step`,
+whose elimination stops at a known lower bound on dim U(t): `profile` runs it
+inside R(L) with the floors below, and `upper_extension`, behind `center`,
+`upper_central_series` and `is_upper_bounded_ideal`, over all of L with the
+floor dim I, asking `is_ideal` only when the stop leaves I itself
+(`notes/decisions.md`, "The upper central series stops too").
 The stabilized values are the headline invariants:
 
 * perfect radical  P(L): the largest ideal with [I, I] = I; equals the last
@@ -127,36 +131,29 @@ def _extension_rows(ideal: Subspace, images):
 
 
 def upper_extension(L: LieAlgebra, ideal: Subspace) -> Subspace:
-    """U(I) = {x : [e_g, x] lies in I for every g in G}: the kernel of
-    `_extension_rows` over the generators G of L (`LieAlgebra._generators`), whose
-    images are the stored rows `adjoint[g]`.  For an ideal I that is
-    {x : [x, L] <= I}, since {y : [x, y] in I} is then a subalgebra.  I <= U(I)
-    exactly when [G, I] <= I, the ideal test; otherwise this raises NotAnIdealError.
-    U(I) is again an ideal.  The rows of an ideal have rank n − dim U(I) <= n − dim I,
-    so the elimination stops there; then I <= U(I) iff I is the kernel so far and
-    the rows left vanish on I's basis, and for I = 0, with no basis row, none is
-    formed (`notes/decisions.md`, "The upper central series stops too")."""
+    """U(I) = {x : [x, L] <= I} for an ideal I, which is again an ideal; otherwise
+    NotAnIdealError.  `_upper_step` over all of L solves it, with the floor dim I:
+    its elimination stops at rank n − dim I, whose kernel K holds U(I) and has
+    dimension dim I.  So I <= K forces K = I after a stop, and only `is_ideal` tells
+    a stabilizing ideal from a non-ideal; with no stop, K = U(I) and I <= K is the
+    ideal test (`notes/decisions.md`, "The upper central series stops too")."""
     L._check_valid()
     L._check_ambient(ideal)
-    if ideal.is_full():
-        return ideal
-    rows = _extension_rows(ideal, (L.constants.adjoint[g] for g in L._generators))
-    u = Subspace.span(rows, L.dim, L.dim - ideal.dim).annihilator()
-    if not ideal.leq(u) or not ideal.is_zero() and any(
-            sum(x * b[i] for i, x in r.items() if i in b) for r in rows for b in ideal.int_rows):
+    u = _upper_step(L, L.full_space(), ideal, ideal.dim)
+    if not ideal.leq(u) or u.dim == ideal.dim < L.dim and not L.is_ideal(ideal):
         raise NotAnIdealError("upper extension requires an ideal")
     return u
 
 
 def _upper_step(L: LieAlgebra, rad: Subspace, t: Subspace, floor: int) -> Subspace:
-    """U(t) for a term t of the upper central series, solved over the rows R_a of
-    rad = R(L) as unknowns, with [e_g, x] in t for g in G: U(t)/t = Z(L/t) is
-    abelian, so by induction from t = 0 every term is a solvable ideal and U(t) <= R.
-    When R = L the unknowns are the standard basis, whose images are the stored
-    rows `adjoint[g]`.  The rows have rank dim R − dim U(t) <= dim R − floor, for a
-    known floor <= dim U(t), so the elimination stops there; with floor >= dim R,
-    U(t) = R and no row is formed (`notes/decisions.md`, "Answers the series
-    already give")."""
+    """The one upper-extension solver: the kernel of x -> [e_g, x] mod t, g in G,
+    over the rows R_a of rad as unknowns, its elimination stopped at rank
+    dim R − floor.  For an ideal t with U(t) <= rad and floor <= dim U(t) that is
+    U(t): for a term t of the upper central series, rad = R(L) holds U(t), since
+    U(t)/t = Z(L/t) is abelian, so by induction from t = 0 every term is a solvable
+    ideal.  When R = L the unknowns are the standard basis, whose images are the
+    stored rows `adjoint[g]`; with floor >= dim R no row is formed and R is returned
+    (`notes/decisions.md`, "Answers the series already give")."""
     if floor >= rad.dim:
         return rad
     images = (L.constants.adjoint[g] for g in L._generators)

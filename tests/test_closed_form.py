@@ -40,6 +40,7 @@ from lieradicals.algfile import MAX_DIM
 from lieradicals.core import LieAlgebra
 from lieradicals.linalg import Matrix
 from lieradicals.series import profile
+from lieradicals.subspace import Subspace
 
 import reference
 
@@ -113,7 +114,7 @@ def check_closed_forms(m: list[list[int]]) -> None:
     n = k + 1
     L = semidirect(m)
     prof = profile(L)
-    full, zero = Matrix.identity(n), Matrix.from_rows([], n)
+    full, zero = Subspace.full(n).basis, Matrix.from_rows([], n)
     lower = _chain(full, map(_image, _powers(m)))
     nilpotent = lower[-1] == zero  # M^i V stops at 0 exactly when M is nilpotent
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieradicals.linalg import Matrix, dense, divided, echelon_rows, insert_row, numerators, sparse
+from lieradicals.subspace import Subspace
 
 import reference
 from reference import apply, is_zero_vector, rank, trace, vdot, zeros
@@ -42,14 +43,14 @@ def test_rref_dependent_rows():
 
 
 def test_rref_identity():
-    m, pivots = Matrix.identity(3).rref()
-    assert m == Matrix.identity(3)
+    m, pivots = Subspace.full(3).basis.rref()
+    assert m == Subspace.full(3).basis
     assert pivots == (0, 1, 2)
 
 
 def test_rref_permutation():
     m, pivots = Matrix.from_rows([[0, 1], [1, 0]]).rref()
-    assert m == Matrix.identity(2)
+    assert m == Subspace.full(2).basis
     assert pivots == (0, 1)
 
 
@@ -279,7 +280,7 @@ def test_numerators_of_ints_match_the_fraction_path(ints):
 
 
 def test_kernel_trivial():
-    assert Matrix.identity(2).kernel().rows == 0
+    assert Subspace.full(2).basis.kernel().rows == 0
 
 
 def test_kernel_one_equation():
@@ -287,7 +288,7 @@ def test_kernel_one_equation():
 
 
 def test_kernel_zero_map():
-    assert zeros(2, 3).kernel() == Matrix.identity(3)
+    assert zeros(2, 3).kernel() == Subspace.full(3).basis
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +305,7 @@ def test_kernel_annihilates_and_counts(m):
 
 def test_matmul_identity():
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert Matrix.identity(2) @ m == m
+    assert Subspace.full(2).basis @ m == m
 
 
 def test_matmul_upper_triangular_square():
@@ -323,7 +324,7 @@ def test_matmul_dimension_mismatch():
 
 
 def test_trace_identity():
-    assert trace(Matrix.identity(3)) == 3
+    assert trace(Subspace.full(3).basis) == 3
 
 
 def test_trace_diagonal_sum():

@@ -19,8 +19,9 @@ early, where it must stop (G is built before that run is recorded).
 `LieAlgebra.is_ideal`, which reduces each bracket [e_g, r], g in G, modulo
 the subspace, is compared with `reference.naive_is_ideal`, which echelonizes
 [L, s] first, on ideals, lines and random spans of the same inputs.
-`upper_extension`, which finds out from its own computation whether the
-subspace is an ideal, and the ideal predicates are compared with
+`upper_extension`, which finds out from its own elimination, and from one
+`is_ideal` call after a stop, whether the subspace is an ideal, and the
+ideal predicates are compared with
 `reference`'s versions that run `is_ideal` first and form unbounded
 products, on the same kinds of subspace and, under hypothesis, on catalog
 and random-corpus algebras in their own and a rational basis: equal
@@ -31,14 +32,18 @@ are compared with theirs on lines and wide spans of catalog, random-corpus and
 matrix-unit algebras too.
 `upper_extension` is also compared with its reference on every upper
 central term of matrix-unit gl8, n14 and b12, sparse inputs past the ladder.
-It forms its rows one e_j at a time and stops eliminating at rank n − dim s,
-then tests the rows left on s's basis; it is compared with
+It runs `profile`'s `_upper_step` over all of L, forming its rows one e_g at a
+time and stopping at rank n − dim s, then asks `is_ideal` when the kernel so far
+is s; it is compared with
 `reference.dense_upper_extension`, the dense matrices of x -> [x, e_j] read
 from the table, and with `reference.checked_upper_extension`, on wide and
 short spans of the catalog, random-corpus and matrix-unit algebras, among them
-non-ideals that the kernel test rejects and non-ideals that only the test
-after the stop rejects, and under hypothesis on random ones, and
-`upper_extension(L, 0)` forms no row after its stop.  `profile`, which
+non-ideals that the kernel test rejects and non-ideals that only `is_ideal`
+after the stop rejects, and under hypothesis on random ones, and no row is
+formed after the stop.  `upper_extension`, `center`, `upper_central_series`,
+`is_upper_bounded_ideal` and `profile` all reach `_upper_step`, and
+`upper_extension` calls `is_ideal` once on a stabilizing ideal other than L
+and never otherwise.  `profile`, which
 solves every upper central step inside R(L) and stops it at a floor, is
 compared with `upper_central_series` and with the series of a reference
 extension on the inputs above, on gl8, n14, b12 and sl6, and under
@@ -911,9 +916,10 @@ def _stacked_upper_extension(L: LieAlgebra, s: Subspace):
 
 
 def _traced_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
-    """(outcome, stopped, by the rest alone) of `upper_extension(L, s)`: whether its
-    elimination stopped with rows left for the test after the stop, and whether
-    only that test raised, the stopped table's kernel being s itself."""
+    """(outcome, stopped, by the ideal test alone) of `upper_extension(L, s)`: whether
+    its elimination stopped, its table reaching the rank it was given, and whether
+    only `is_ideal` then raised, the stopped table's kernel being s itself.  No row
+    is formed after the stop."""
     seen = {"rows": 0}
     rows, echelon_rows = series._extension_rows, subspace.echelon_rows
 
@@ -924,21 +930,21 @@ def _traced_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
 
     def record_stop(vectors, cols, rank=None):
         table = echelon_rows(vectors, cols, rank)
-        seen.setdefault("stop", (seen["rows"], Subspace(cols, *table)))
+        seen.setdefault("stop", (seen["rows"], len(table[1]) == rank, Subspace(cols, *table)))
         return table
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_extension_rows", count_rows)
         mp.setattr(subspace, "echelon_rows", record_stop)
         got = _outcome(upper_extension, L, s)
-    eliminated, table = seen.get("stop", (0, None))
-    stopped = eliminated < seen["rows"]
+    eliminated, stopped, table = seen.get("stop", (0, False, None))
+    assert eliminated == seen["rows"]
     return got, stopped, stopped and got is NotAnIdealError and table.annihilator() == s
 
 
 def _check_upper_extension(L: LieAlgebra, s: Subspace) -> tuple:
     """`upper_extension` against the dense kernel and `checked_upper_extension`:
-    (raised by the kernel test, stopped, raised by the test of the rows left alone)."""
+    (raised by the kernel test, stopped, raised by `is_ideal` alone after the stop)."""
     got, stopped, alone = _traced_upper_extension(L, s)
     assert got == _stacked_upper_extension(L, s) == _outcome(reference.checked_upper_extension,
                                                               L, s)
@@ -965,8 +971,8 @@ def _seeded_lie_algebras() -> list:
 def test_upper_extension_stops_exactly_on_non_ideal_spans():
     """Wide and short spans of Lie algebras, most of them no ideal: equal results or
     NotAnIdealError from both references.  Among the non-ideals, the kernel test
-    rejects some, and others, whose elimination stopped at rank n − dim s, only the
-    test of the rows left after the stop rejects."""
+    rejects some, and others, whose elimination stopped at rank n − dim s with s as
+    its kernel, only `is_ideal` rejects."""
     rng, counts = random.Random(2026), {"kernel": 0, "stopped": 0, "alone": 0}
     for L in _seeded_lie_algebras():
         for s in _wide_spans(rng, L.dim) + _wide_spans(rng, L.dim):
@@ -989,6 +995,36 @@ def test_upper_extension_matches_references_on_random_wide_spans(seed, k, basis,
     s = Subspace.span(vecs, L.dim)
     _check_upper_extension(L, s)
     _check_product_predicates(L, s)
+
+
+SOLVER_INPUTS = ([(name, catalog.get(name).algebra) for name in catalog.names()]
+                 + [(name, reference.build(name)) for name in ("gl4", "b4", "n5", "rational-n4")])
+
+
+@pytest.mark.parametrize("name,L", SOLVER_INPUTS, ids=[n for n, _ in SOLVER_INPUTS])
+def test_one_upper_extension_solver(name, L, monkeypatch):
+    """Every U(·) goes through `series._upper_step`, and `upper_extension` calls
+    `is_ideal` exactly when its elimination leaves I itself as the kernel: once for
+    an ideal with U(I) = I other than L, and never for L or an ideal with U(I) > I.
+    The ideals are the terms of the three series and the profile's subspaces."""
+    steps, tests = [], []
+    upper_step, is_ideal = series._upper_step, LieAlgebra.is_ideal
+    monkeypatch.setattr(series, "_upper_step", lambda *a: steps.append(a) or upper_step(*a))
+    monkeypatch.setattr(LieAlgebra, "is_ideal", lambda M, s: tests.append(s) or is_ideal(M, s))
+    for entry in (lambda: upper_extension(L, L.zero_space()), lambda: series.center(L),
+                  lambda: upper_central_series(L), lambda: profile(L),
+                  lambda: is_upper_bounded_ideal(L, L.full_space())):
+        steps.clear()
+        entry()
+        assert steps
+    prof = profile(L)
+    ideals = {L.full_space(), *prof.subspaces().values(),
+              *(t for rep in prof.series().values() for t in rep.terms)}
+    for s in ideals:
+        tests.clear()
+        u = upper_extension(L, s)
+        assert u == reference.dense_upper_extension(L, s)
+        assert tests == ([s] if u == s != L.full_space() else [])
 
 
 def _check_product_predicates(L: LieAlgebra, s: Subspace):
@@ -1207,11 +1243,11 @@ def test_profile_lower_central_series_of_gl4_stops_at_the_perfect_radical(monkey
 
 @pytest.mark.parametrize("name", ["sl3", "sl12", "gl4", "rational-gl3"])
 def test_center_forms_no_row_after_its_stop(name):
-    """`upper_extension(L, 0)` has no basis row to test the rows left after its
-    stop on, so it forms none: sl_n, whose center is 0, stops at rank n, and on
-    gl4 and rational gl3, whose center is a line, the rank never reaches n."""
+    """`upper_extension(L, 0)` forms no row after its stop: sl_n, whose center is 0,
+    stops at rank n, and on gl4 and rational gl3, whose center is a line, the rank
+    never reaches n."""
     L = reference.build(name)
     got, stopped, _ = _traced_upper_extension(L, L.zero_space())
-    assert not stopped
+    assert stopped == name.startswith("sl")
     assert got.dim == (0 if name.startswith("sl") else 1)
     assert L.dim > 16 or got == reference.dense_upper_extension(L, L.zero_space())
